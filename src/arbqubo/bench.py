@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 from .errors import ParamError, WrongOrdering
@@ -35,20 +35,13 @@ DEFAULT_OVERHEAD_US = 20000.0
 
 ENERGY_TOL = 1e-9
 
+#: The one table of sampler names, aliases included.  Rows are labelled
+#: with the ``solver_name`` of the SampleSet the sampler returns.
 SOLVER_REGISTRY: dict[str, Callable[[QuboMatrix, SamplerParams], SampleSet]] = {
     SA_SOLVER_NAME: sample_sa,
+    "sa": sample_sa,
     TABU_SOLVER_NAME: sample_tabu,
 }
-
-REPORT_COLUMNS = [
-    "solver",
-    "num_reads",
-    "batch",
-    "total_time_us",
-    "first_optimum_read",
-    "best_energy",
-    "optimal_energy",
-]
 
 TIMING_LOG_COLUMNS = ["system", "num_reads", "batch", "qpu_access_time_us"]
 
@@ -91,6 +84,15 @@ def qpu_access_time(
     return total
 
 
+def lookup_solver(name: str) -> Callable[[QuboMatrix, SamplerParams], SampleSet]:
+    """The registered sampler called ``name``."""
+    if name not in SOLVER_REGISTRY:
+        raise ParamError(
+            f"unknown solver {name!r}; expected one of {sorted(SOLVER_REGISTRY)}"
+        )
+    return SOLVER_REGISTRY[name]
+
+
 def first_optimum_read(
     s: SampleSet, optimal_energy: float, tol: float = ENERGY_TOL
 ) -> int | None:
@@ -118,6 +120,18 @@ class BenchRow:
     first_optimum_read: int | None
     best_energy: float
     optimal_energy: float
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None or value == "" else int(value)
+
+
+#: Report columns are the BenchRow fields, in order, each with the parser
+#: for its annotated type that reads it back from CSV text or JSON values.
+_PARSERS = {"str": str, "int": int, "float": float, "int | None": _optional_int}
+_REPORT_SCHEMA = [(f.name, _PARSERS[f.type]) for f in fields(BenchRow)]
+
+REPORT_COLUMNS = [name for name, _ in _REPORT_SCHEMA]
 
 
 @dataclass
@@ -160,20 +174,13 @@ def run_batches(
 
     The optimum is established once by exact enumeration.  Batch ``b``
     reseeds the sampler with ``params.seed + b`` so batches differ but the
-    whole report stays reproducible.  ``solver`` is a registry name
-    ("simulated_annealing" or "tabu") or any callable with the sampler
-    signature.
+    whole report stays reproducible.  ``solver`` is a name in
+    :data:`SOLVER_REGISTRY`, whose rows carry the sampler's own solver
+    name, or any callable with the sampler signature, whose rows carry
+    its ``__name__``.
     """
-    if isinstance(solver, str):
-        if solver not in SOLVER_REGISTRY:
-            raise ParamError(
-                f"unknown solver {solver!r}; expected one of {sorted(SOLVER_REGISTRY)}"
-            )
-        solver_fn = SOLVER_REGISTRY[solver]
-        solver_label = solver
-    else:
-        solver_fn = solver
-        solver_label = getattr(solver, "__name__", "custom")
+    solver_fn = lookup_solver(solver) if isinstance(solver, str) else solver
+    label = None if isinstance(solver, str) else getattr(solver, "__name__", "custom")
     if batches < 1:
         raise ParamError(f"batches must be >= 1, got {batches}")
 
@@ -185,7 +192,7 @@ def run_batches(
         best = result.best()
         report.rows.append(
             BenchRow(
-                solver=solver_label,
+                solver=label or result.solver_name,
                 num_reads=params.num_reads,
                 batch=batch,
                 total_time_us=float(result.timing.get("wall_time_us", 0.0)),
@@ -203,9 +210,24 @@ def run_batches(
 def _format_number(value: float) -> str:
     """Integers print without a decimal point so ingested integer data
     round-trips byte-exactly."""
-    if value == int(value) and math.isfinite(value):
+    if math.isfinite(value) and value == int(value):
         return str(int(value))
     return repr(value)
+
+
+def _csv_cell(value, parse) -> object:
+    if value is None:
+        return ""
+    return _format_number(value) if parse is float else value
+
+
+def _read_csv(data: bytes, columns: list[str], what: str) -> list[list[str]]:
+    """Records of a CSV whose header must be ``columns``; blank rows skipped."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    header = next(reader, None)
+    if header != columns:
+        raise ValueError(f"unexpected {what} header: {header}")
+    return [rec for rec in reader if rec]
 
 
 def emit_report(r: BenchReport, fmt: str = "csv") -> bytes:
@@ -214,79 +236,31 @@ def emit_report(r: BenchReport, fmt: str = "csv") -> bytes:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for row in r.rows:
-            writer.writerow(
-                [
-                    row.solver,
-                    row.num_reads,
-                    row.batch,
-                    _format_number(row.total_time_us),
-                    "" if row.first_optimum_read is None else row.first_optimum_read,
-                    _format_number(row.best_energy),
-                    _format_number(row.optimal_energy),
-                ]
-            )
+        writer.writerows(
+            [_csv_cell(getattr(row, name), parse) for name, parse in _REPORT_SCHEMA]
+            for row in r.rows
+        )
         return out.getvalue().encode("utf-8")
     if fmt == "json":
-        obj = [
-            {
-                "solver": row.solver,
-                "num_reads": row.num_reads,
-                "batch": row.batch,
-                "total_time_us": row.total_time_us,
-                "first_optimum_read": row.first_optimum_read,
-                "best_energy": row.best_energy,
-                "optimal_energy": row.optimal_energy,
-            }
-            for row in r.rows
-        ]
+        obj = [asdict(row) for row in r.rows]
         return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
 def load_report(data: bytes, fmt: str = "csv") -> BenchReport:
     if fmt == "csv":
-        reader = csv.reader(io.StringIO(data.decode("utf-8")))
-        header = next(reader, None)
-        if header != REPORT_COLUMNS:
-            raise ValueError(f"unexpected report header: {header}")
-        rows = []
-        for rec in reader:
-            if not rec:
-                continue
-            rows.append(
-                BenchRow(
-                    solver=rec[0],
-                    num_reads=int(rec[1]),
-                    batch=int(rec[2]),
-                    total_time_us=float(rec[3]),
-                    first_optimum_read=None if rec[4] == "" else int(rec[4]),
-                    best_energy=float(rec[5]),
-                    optimal_energy=float(rec[6]),
-                )
-            )
-        return BenchReport(rows=rows)
-    if fmt == "json":
-        obj = json.loads(data.decode("utf-8"))
-        return BenchReport(
-            rows=[
-                BenchRow(
-                    solver=rec["solver"],
-                    num_reads=int(rec["num_reads"]),
-                    batch=int(rec["batch"]),
-                    total_time_us=float(rec["total_time_us"]),
-                    first_optimum_read=(
-                        None
-                        if rec["first_optimum_read"] is None
-                        else int(rec["first_optimum_read"])
-                    ),
-                    best_energy=float(rec["best_energy"]),
-                    optimal_energy=float(rec["optimal_energy"]),
-                )
-                for rec in obj
-            ]
-        )
-    raise ValueError(f"unknown report format: {fmt!r}")
+        rows = _read_csv(data, REPORT_COLUMNS, "report")
+        records = [dict(zip(REPORT_COLUMNS, rec)) for rec in rows]
+    elif fmt == "json":
+        records = json.loads(data.decode("utf-8"))
+    else:
+        raise ValueError(f"unknown report format: {fmt!r}")
+    return BenchReport(
+        rows=[
+            BenchRow(**{name: parse(rec[name]) for name, parse in _REPORT_SCHEMA})
+            for rec in records
+        ]
+    )
 
 
 # -- external timing logs -------------------------------------------------------
@@ -302,39 +276,24 @@ class TimingLogRow:
 
 def load_timing_log(data: bytes) -> list[TimingLogRow]:
     """Parse an external access-time log: system, num_reads, batch, time."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    header = next(reader, None)
-    if header != TIMING_LOG_COLUMNS:
-        raise ValueError(f"unexpected timing log header: {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(
-            TimingLogRow(
-                system=rec[0],
-                num_reads=int(rec[1]),
-                batch=int(rec[2]),
-                qpu_access_time_us=float(rec[3]),
-            )
+    return [
+        TimingLogRow(
+            system=rec[0],
+            num_reads=int(rec[1]),
+            batch=int(rec[2]),
+            qpu_access_time_us=float(rec[3]),
         )
-    return rows
+        for rec in _read_csv(data, TIMING_LOG_COLUMNS, "timing log")
+    ]
 
 
 def timing_log_means(rows: list[TimingLogRow]) -> list[tuple[str, int, int, float]]:
     """Arithmetic mean access time per (system, num_reads, batch)."""
     groups: dict[tuple[str, int, int], list[float]] = {}
-    order: list[tuple[str, int, int]] = []
     for row in rows:
         key = (row.system, row.num_reads, row.batch)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row.qpu_access_time_us)
-    return [
-        (key[0], key[1], key[2], sum(groups[key]) / len(groups[key]))
-        for key in order
-    ]
+        groups.setdefault(key, []).append(row.qpu_access_time_us)
+    return [(*key, sum(times) / len(times)) for key, times in groups.items()]
 
 
 def emit_timing_means(rows: list[TimingLogRow]) -> bytes:

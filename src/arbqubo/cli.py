@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .bench import (
+    SOLVER_REGISTRY,
     BenchReport,
     QpuTimingModel,
     emit_report,
+    lookup_solver,
     qpu_access_time,
     run_batches,
 )
@@ -41,7 +43,7 @@ from .rates import (
     plant_cycle,
     to_log_weights,
 )
-from .solvers import SamplerParams, sample_sa, sample_tabu, solve_exact
+from .solvers import SamplerParams, solve_exact
 
 PROFIT_DISPLAY_TOL = 1e-9
 
@@ -95,16 +97,17 @@ def build_parser() -> _Parser:
     solve.add_argument("--rates", required=True, help="rate table (.csv or .json)")
     solve.add_argument("--loop-length", type=int, default=4)
     solve.add_argument(
-        "--solver", choices=["exact", "sa", "tabu"], default="exact"
+        "--solver", choices=["exact", *SOLVER_REGISTRY], default="exact"
     )
     solve.add_argument("--reads", type=int, default=500)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--sweeps", type=int, default=1000)
-    solve.add_argument("--weight-rate", type=float, default=1.0)
-    solve.add_argument("--weight-one-hot", type=float, default=None)
-    solve.add_argument("--weight-endpoint", type=float, default=None)
-    solve.add_argument("--weight-consecutive", type=float, default=None)
-    solve.add_argument("--weight-fill", type=float, default=None)
+    for family in fields(HamiltonianWeights):
+        solve.add_argument(
+            "--weight-" + family.name.replace("_", "-"),
+            type=float,
+            default=1.0 if family.name == "rate" else None,
+        )
     solve.add_argument("--out", default=None, help="write the sample set as JSON")
     solve.add_argument(
         "--model-out", default=None, help="write the model description as JSON"
@@ -115,7 +118,9 @@ def build_parser() -> _Parser:
     bench.add_argument("--rates", required=True)
     bench.add_argument("--loop-length", type=int, default=4)
     bench.add_argument(
-        "--solvers", default="sa,tabu", help="comma-separated subset of sa,tabu"
+        "--solvers",
+        default="sa,tabu",
+        help=f"comma-separated subset of {','.join(SOLVER_REGISTRY)}",
     )
     bench.add_argument("--reads", type=_int_list, default=[50, 500])
     bench.add_argument("--batches", type=int, default=2)
@@ -156,16 +161,11 @@ def cmd_gen(args) -> int:
 
 def _resolve_weights(args, w, shape) -> HamiltonianWeights:
     weights = default_weights(w, shape, rate=args.weight_rate)
-    overrides = {}
-    if args.weight_one_hot is not None:
-        overrides["one_hot"] = args.weight_one_hot
-    if args.weight_endpoint is not None:
-        overrides["endpoint"] = args.weight_endpoint
-    if args.weight_consecutive is not None:
-        overrides["consecutive"] = args.weight_consecutive
-    if args.weight_fill is not None:
-        overrides["fill"] = args.weight_fill
-    return replace(weights, **overrides) if overrides else weights
+    overrides = {
+        family.name: getattr(args, "weight_" + family.name)
+        for family in fields(HamiltonianWeights)
+    }
+    return replace(weights, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_solve(args) -> int:
@@ -181,7 +181,7 @@ def cmd_solve(args) -> int:
         params = SamplerParams(
             num_reads=args.reads, seed=args.seed, sweeps_per_read=args.sweeps
         )
-        result = sample_sa(q, params) if args.solver == "sa" else sample_tabu(q, params)
+        result = SOLVER_REGISTRY[args.solver](q, params)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -216,13 +216,9 @@ def cmd_bench(args) -> int:
     shape = ProblemShape(rates.n, args.loop_length)
     w = to_log_weights(rates)
     q = build_qubo(w, shape, default_weights(w, shape))
-    name_map = {"sa": "simulated_annealing", "tabu": "tabu"}
-    solvers = []
-    for token in args.solvers.split(","):
-        token = token.strip()
-        if token not in name_map:
-            raise ArbQuboError(f"unknown solver {token!r}; expected sa or tabu")
-        solvers.append(name_map[token])
+    solvers = [token.strip() for token in args.solvers.split(",")]
+    for solver in solvers:  # reject unknown names before any batch runs
+        lookup_solver(solver)
 
     combined = BenchReport()
     for solver in solvers:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .errors import DimensionError, ModelError, NotFeasible
 from .qubo import QuboMatrix
@@ -84,7 +84,7 @@ class HamiltonianWeights:
     fill: float
 
     def __post_init__(self) -> None:
-        vals = (self.rate, self.one_hot, self.endpoint, self.consecutive, self.fill)
+        vals = astuple(self)
         if not all(math.isfinite(v) for v in vals):
             raise ModelError(f"weights must be finite, got {vals}")
         if not self.rate > 0:
@@ -102,13 +102,11 @@ class DecodedLoop:
     """A bitvector read back as K positions, with any constraint violations.
 
     ``positions[k]`` is the single currency at position k+1, or None when
-    that position is empty or crowded.  ``profitability`` is attached by
-    :func:`profitability` and only ever present on feasible loops.
+    that position is empty or crowded.
     """
 
     positions: list[int | None]
     violations: list[Violation] = field(default_factory=list)
-    profitability: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -287,8 +285,7 @@ def profitability(loop: DecodedLoop, rates: RateMatrix) -> float:
     """Product of conversion rates along a feasible loop's K-1 transitions.
 
     Position K repeats position 1, so the closing conversion is already
-    one of those transitions.  The result is attached to the loop; values
-    above 1 mean the loop turns a profit.
+    one of those transitions.  Values above 1 mean the loop turns a profit.
     """
     if not loop.feasible:
         raise NotFeasible(f"cannot price an infeasible loop: {loop.violations}")
@@ -296,8 +293,7 @@ def profitability(loop: DecodedLoop, rates: RateMatrix) -> float:
     product = 1.0
     for a, b in zip(seq, seq[1:]):
         product *= rates.rate[a, b]
-    loop.profitability = float(product)
-    return loop.profitability
+    return float(product)
 
 
 def canonical_rotation(loop) -> list[int]:
@@ -326,13 +322,7 @@ def model_to_json(
         {
             "n_currencies": shape.n_currencies,
             "loop_length": shape.loop_length,
-            "weights": {
-                "rate": weights.rate,
-                "one_hot": weights.one_hot,
-                "endpoint": weights.endpoint,
-                "consecutive": weights.consecutive,
-                "fill": weights.fill,
-            },
+            "weights": asdict(weights),
             "labels": list(labels),
         }
     )
@@ -343,10 +333,6 @@ def model_from_json(text: str) -> tuple[ProblemShape, HamiltonianWeights, list[s
     shape = ProblemShape(int(obj["n_currencies"]), int(obj["loop_length"]))
     wts = obj["weights"]
     weights = HamiltonianWeights(
-        rate=float(wts["rate"]),
-        one_hot=float(wts["one_hot"]),
-        endpoint=float(wts["endpoint"]),
-        consecutive=float(wts["consecutive"]),
-        fill=float(wts["fill"]),
+        **{f.name: float(wts[f.name]) for f in fields(HamiltonianWeights)}
     )
     return shape, weights, [str(x) for x in obj["labels"]]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -43,9 +44,8 @@ class SamplerParams:
     ``beta_start``/``beta_end`` default to 0.1 and 10 divided by the
     largest coefficient magnitude of the problem being solved, which keeps
     the acceptance probabilities in a useful range regardless of how the
-    instance is scaled.  ``tabu_tenure`` defaults to ceil(n/4) and
-    ``max_iterations_per_read`` to 50*n, both sized for the <=30-variable
-    instances this package targets.
+    instance is scaled.  ``tabu_tenure`` defaults to ceil(n/4), sized for
+    the <=30-variable instances this package targets.
     """
 
     num_reads: int = 100
@@ -54,7 +54,6 @@ class SamplerParams:
     beta_start: float | None = None
     beta_end: float | None = None
     tabu_tenure: int | None = None
-    max_iterations_per_read: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_reads < 1:
@@ -73,11 +72,6 @@ class SamplerParams:
                 )
         if self.tabu_tenure is not None and self.tabu_tenure < 1:
             raise ParamError(f"tabu_tenure must be >= 1, got {self.tabu_tenure}")
-        if self.max_iterations_per_read is not None and self.max_iterations_per_read < 1:
-            raise ParamError(
-                f"max_iterations_per_read must be >= 1, "
-                f"got {self.max_iterations_per_read}"
-            )
 
     def effective_betas(self, q: QuboMatrix) -> tuple[float, float]:
         if self.beta_start is not None and self.beta_end is not None:
@@ -88,47 +82,58 @@ class SamplerParams:
     def effective_tenure(self, n_vars: int) -> int:
         return self.tabu_tenure if self.tabu_tenure is not None else math.ceil(n_vars / 4)
 
-    def effective_max_iterations(self, n_vars: int) -> int:
-        if self.max_iterations_per_read is not None:
-            return self.max_iterations_per_read
-        return 50 * n_vars
 
-
-def _enumerate_bits(start: int, stop: int, n: int) -> np.ndarray:
-    """Bit matrix for state indices [start, stop); bit 0 is the high bit.
+def _state_bits(index: int, n: int) -> tuple[int, ...]:
+    """Bits of enumeration state ``index``; bit 0 is the high bit.
 
     With that convention, ascending state index is exactly ascending
     lexicographic order of the bit tuples, so stable sorts on energy break
     ties lexicographically for free.
     """
-    idx = np.arange(start, stop, dtype=np.int64)[:, None]
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)[None, :]
-    return ((idx >> shifts) & 1).astype(float)
+    return tuple((index >> shift) & 1 for shift in range(n - 1, -1, -1))
 
 
 def _chunk_energies(q: QuboMatrix, bits: np.ndarray) -> np.ndarray:
-    upper = q.upper
-    return ((bits @ upper) * bits).sum(axis=1) + q.offset
+    return ((bits @ q.upper) * bits).sum(axis=1) + q.offset
+
+
+def _enumerate_energies(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
+    """Energies of all 2^n states as ``(start, energies)`` chunks in
+    ascending state-index order."""
+    n = q.n_vars
+    if n > EXACT_MAX_VARS:
+        raise TooLarge(f"{n} variables exceeds enumeration guard {EXACT_MAX_VARS}")
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)[None, :]
+    total = 1 << n
+    for start in range(0, total, _ENUM_CHUNK):
+        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)[:, None]
+        yield start, _chunk_energies(q, ((idx >> shifts) & 1).astype(float))
+
+
+def _sample_set(
+    samples: list[Sample], t0: float, solver_name: str, params: dict | None
+) -> SampleSet:
+    """Wrap a solver's samples with its wall time since ``t0``."""
+    return SampleSet(
+        samples=samples,
+        timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
+        solver_name=solver_name,
+        params=params,
+    )
 
 
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     """Lowest-energy state by chunked enumeration, without materializing
     the full sample list.  Same guard and tie-break as :func:`solve_exact`.
     """
-    n = q.n_vars
-    if n > EXACT_MAX_VARS:
-        raise TooLarge(f"{n} variables exceeds enumeration guard {EXACT_MAX_VARS}")
     best_energy = math.inf
     best_index = -1
-    for start in range(0, 1 << n, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, 1 << n)
-        energies = _chunk_energies(q, _enumerate_bits(start, stop, n))
+    for start, energies in _enumerate_energies(q):
         pos = int(np.argmin(energies))
         if energies[pos] < best_energy:
             best_energy = float(energies[pos])
             best_index = start + pos
-    bits = tuple(int(b) for b in _enumerate_bits(best_index, best_index + 1, n)[0])
-    return bits, best_energy
+    return _state_bits(best_index, q.n_vars), best_energy
 
 
 def solve_exact(q: QuboMatrix) -> SampleSet:
@@ -139,28 +144,19 @@ def solve_exact(q: QuboMatrix) -> SampleSet:
     expect gigabytes -- use :func:`ground_state` when only the optimum
     matters.
     """
-    n = q.n_vars
-    if n > EXACT_MAX_VARS:
-        raise TooLarge(f"{n} variables exceeds enumeration guard {EXACT_MAX_VARS}")
     t0 = time.perf_counter()
-    total = 1 << n
-    energies = np.empty(total)
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        energies[start:stop] = _chunk_energies(q, _enumerate_bits(start, stop, n))
+    n = q.n_vars
+    energies = np.concatenate([chunk for _, chunk in _enumerate_energies(q)])
     order = np.argsort(energies, kind="stable")
-    samples = []
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    for rank, state in enumerate(order, start=1):
-        bits = tuple(int(b) for b in (int(state) >> shifts) & 1)
-        samples.append(Sample(bits=bits, energy=float(energies[state]), read_index=rank))
-    elapsed_us = (time.perf_counter() - t0) * 1e6
-    return SampleSet(
-        samples=samples,
-        timing={"wall_time_us": elapsed_us},
-        solver_name=EXACT_SOLVER_NAME,
-        params=None,
-    )
+    samples = [
+        Sample(
+            bits=_state_bits(int(state), n),
+            energy=float(energies[state]),
+            read_index=rank,
+        )
+        for rank, state in enumerate(order, start=1)
+    ]
+    return _sample_set(samples, t0, EXACT_SOLVER_NAME, None)
 
 
 def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
@@ -207,12 +203,11 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
                 Sample(bits=bits, energy=float(energies[row]), read_index=read_index)
             )
 
-    elapsed_us = (time.perf_counter() - t0) * 1e6
-    return SampleSet(
-        samples=samples,
-        timing={"wall_time_us": elapsed_us},
-        solver_name=SA_SOLVER_NAME,
-        params={
+    return _sample_set(
+        samples,
+        t0,
+        SA_SOLVER_NAME,
+        {
             "num_reads": p.num_reads,
             "seed": p.seed,
             "sweeps_per_read": p.sweeps_per_read,
@@ -230,8 +225,8 @@ def sample_tabu(
     Recently flipped variables are forbidden for ``tabu_tenure``
     iterations unless flipping one would beat the best energy seen in the
     read (aspiration).  Every iteration moves to the best allowed
-    neighbor, uphill if necessary; a read stops after
-    ``max_iterations_per_read`` iterations without improving its best.
+    neighbor, uphill if necessary; a read stops after 50*n iterations
+    without improving its best (recorded as ``max_iterations_per_read``).
     The best state of each read is appended in read order.
 
     ``trace``, when given, collects (read_index, iteration, variable,
@@ -240,7 +235,7 @@ def sample_tabu(
     t0 = time.perf_counter()
     n = q.n_vars
     tenure = p.effective_tenure(n)
-    max_stall = p.effective_max_iterations(n)
+    max_stall = 50 * n
     diag, sym = q.symmetric_parts()
 
     samples: list[Sample] = []
@@ -290,12 +285,11 @@ def sample_tabu(
             Sample(bits=bits, energy=q.energy(best_x), read_index=read_index)
         )
 
-    elapsed_us = (time.perf_counter() - t0) * 1e6
-    return SampleSet(
-        samples=samples,
-        timing={"wall_time_us": elapsed_us},
-        solver_name=TABU_SOLVER_NAME,
-        params={
+    return _sample_set(
+        samples,
+        t0,
+        TABU_SOLVER_NAME,
+        {
             "num_reads": p.num_reads,
             "seed": p.seed,
             "tabu_tenure": tenure,

@@ -209,6 +209,16 @@ class TestRunBatches:
         with pytest.raises(ParamError):
             run_batches("quantum", q, SamplerParams(), batches=1)
 
+    def test_sa_alias_rows_carry_canonical_label(self):
+        q = planted_qubo(n=3, k=3)
+        params = SamplerParams(num_reads=5, seed=1, sweeps_per_read=20)
+        report = run_batches("sa", q, params, batches=2)
+        assert [r.solver for r in report.rows] == ["simulated_annealing"] * 2
+        again = run_batches("simulated_annealing", q, params, batches=2)
+        assert [r.best_energy for r in report.rows] == [
+            r.best_energy for r in again.rows
+        ]
+
     def test_sa_batches_reach_optimum(self):
         q = planted_qubo()
         params = SamplerParams(num_reads=500, seed=100, sweeps_per_read=250)
@@ -276,3 +286,12 @@ class TestTimingLogIngestion:
         )
         emitted = emit_timing_means(load_timing_log(payload)).decode("utf-8")
         assert "system4.1,50,1,23917\n" in emitted
+
+    def test_non_finite_means_re_emit(self):
+        payload = (
+            b"system,num_reads,batch,qpu_access_time_us\n"
+            b"A,1,1,inf\n"
+            b"B,1,1,nan\n"
+        )
+        emitted = emit_timing_means(load_timing_log(payload)).decode("utf-8")
+        assert emitted.splitlines()[1:] == ["A,1,1,inf", "B,1,1,nan"]

@@ -111,15 +111,20 @@ class TestSolve:
         assert main(["solve", "--rates", "/no/such/file.csv"]) == 2
 
 
+def write_planted(tmp_path):
+    rates = tmp_path / "planted.csv"
+    main(
+        [
+            "gen", "--n", "4", "--seed", "8", "--plant", "0,1",
+            "--strength", "1.1", "--out", str(rates),
+        ]
+    )
+    return rates
+
+
 class TestBench:
     def test_row_count_is_cartesian(self, tmp_path):
-        rates = tmp_path / "planted.csv"
-        main(
-            [
-                "gen", "--n", "4", "--seed", "8", "--plant", "0,1",
-                "--strength", "1.1", "--out", str(rates),
-            ]
-        )
+        rates = write_planted(tmp_path)
         report_file = tmp_path / "report.csv"
         code = main(
             [
@@ -132,15 +137,32 @@ class TestBench:
         lines = report_file.read_text().strip().splitlines()
         assert len(lines) == 1 + 8  # header + 2 solvers x 2 read counts x 2 batches
 
-    def test_unknown_solver_is_usage_error(self, tmp_path):
-        rates = write_fig1(tmp_path)
+    def test_solver_column_has_canonical_names(self, tmp_path):
+        rates = write_planted(tmp_path)
+        report_file = tmp_path / "report.csv"
         code = main(
             [
-                "bench", "--rates", rates, "--solvers", "hillclimb",
-                "--out", str(tmp_path / "r.csv"),
+                "bench", "--rates", str(rates), "--loop-length", "3",
+                "--solvers", "sa,tabu", "--reads", "5", "--batches", "1",
+                "--sweeps", "20", "--out", str(report_file),
             ]
         )
-        assert code == 1
+        assert code == 0
+        rows = report_file.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["simulated_annealing", "tabu"]
+
+    def test_unknown_solver_is_usage_error(self, tmp_path):
+        rates = write_fig1(tmp_path)
+        report_file = tmp_path / "r.csv"
+        for solvers in ("hillclimb", "sa,hillclimb"):
+            code = main(
+                [
+                    "bench", "--rates", rates, "--solvers", solvers,
+                    "--out", str(report_file),
+                ]
+            )
+            assert code == 1
+            assert not report_file.exists()
 
 
 class TestTiming:
