@@ -63,9 +63,10 @@ class QpuTimingModel:
     overhead_delta: float = DEFAULT_OVERHEAD_US
 
     def __post_init__(self) -> None:
-        for name in ("t_programming", "t_anneal", "t_readout", "t_delay", "overhead_delta"):
-            if getattr(self, name) < 0:
-                raise ParamError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParamError(f"{f.name} must be finite and non-negative, got {value}")
 
 
 def qpu_access_time(

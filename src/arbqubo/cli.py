@@ -18,6 +18,7 @@ from .bench import (
     SOLVER_REGISTRY,
     BenchReport,
     QpuTimingModel,
+    _format_number,
     emit_report,
     lookup_solver,
     qpu_access_time,
@@ -255,8 +256,7 @@ def cmd_timing(args) -> int:
     print("num_reads,access_time_us")
     for reads in args.reads:
         total = qpu_access_time(model, reads, include_overhead=args.include_overhead)
-        text = str(int(total)) if total == int(total) else repr(total)
-        print(f"{reads},{text}")
+        print(f"{reads},{_format_number(total)}")
     return EXIT_OK
 
 

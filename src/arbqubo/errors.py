@@ -38,7 +38,8 @@ class DimensionError(ArbQuboError):
 
 
 class ModelError(ArbQuboError):
-    """Problem shape or Hamiltonian weights violate their invariants."""
+    """Problem shape, Hamiltonian weights or QUBO coefficients violate
+    their invariants (e.g. a NaN or infinite coefficient or offset)."""
 
 
 class NotFeasible(ArbQuboError):

@@ -10,6 +10,16 @@ exact solver instead returns every state sorted by ascending energy (ties
 by lexicographic bitvector order) -- there is no meaningful production
 order for an enumeration, and downstream first-optimum analysis rejects
 its output by solver name.
+
+Both samplers vectorize across reads without changing what a read does.
+Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
+array each, and computes every row's move deltas with a stacked
+matrix-vector product that sums exactly as the one-read product does.
+SA keeps its states variables-major and updates, in one step, each run of
+mutually uncoupled variables: the QUBO's sparsity pattern orders the
+variables into levels so that updating level after level is the
+sequential sweep (:func:`_level_runs`).  A dense QUBO degrades to one
+variable per step.
 """
 
 from __future__ import annotations
@@ -30,6 +40,9 @@ TABU_SOLVER_NAME = "tabu"
 
 EXACT_MAX_VARS = 26
 _ENUM_CHUNK = 1 << 16
+# Tabu walks at most this many (read, variable) states at once, so each of
+# its arrays stays within a few MB however many reads are asked for.
+_TABU_BLOCK_ELEMENTS = 1 << 18
 
 # Package-wide "same energy" tolerance.  Tabu's incremental energies drift
 # by ulps over long walks; improvements below this are noise, and treating
@@ -44,8 +57,8 @@ class SamplerParams:
     ``beta_start``/``beta_end`` default to 0.1 and 10 divided by the
     largest coefficient magnitude of the problem being solved, which keeps
     the acceptance probabilities in a useful range regardless of how the
-    instance is scaled.  ``tabu_tenure`` defaults to ceil(n/4), sized for
-    the <=30-variable instances this package targets.
+    instance is scaled.  ``tabu_tenure`` defaults to ceil(n/4) of the
+    problem's n variables.
     """
 
     num_reads: int = 100
@@ -65,9 +78,9 @@ class SamplerParams:
         if (self.beta_start is None) != (self.beta_end is None):
             raise ParamError("beta_start and beta_end must be set together")
         if self.beta_start is not None and self.beta_end is not None:
-            if not (0 < self.beta_start < self.beta_end):
+            if not (0 < self.beta_start < self.beta_end < math.inf):
                 raise ParamError(
-                    f"need 0 < beta_start < beta_end, got "
+                    f"need 0 < beta_start < beta_end < inf, got "
                     f"({self.beta_start}, {self.beta_end})"
                 )
         if self.tabu_tenure is not None and self.tabu_tenure < 1:
@@ -159,6 +172,27 @@ def solve_exact(q: QuboMatrix) -> SampleSet:
     return _sample_set(samples, t0, EXACT_SOLVER_NAME, None)
 
 
+def _level_runs(sym: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Variables in level order, and the ``[a, b)`` span of each level in it.
+
+    A variable's level is 0 when it couples to no lower-indexed variable,
+    else one more than the highest level among those it couples to.  So
+    the variables of one level are mutually uncoupled, and of a coupled
+    pair ``u < v`` the level of ``u`` comes first: updating the levels in
+    order sees exactly the states a sequential sweep over 0..n-1 sees.
+    Within a level, variables keep ascending index order.  A dense QUBO
+    has n levels of one variable.
+    """
+    n = sym.shape[0]
+    level = np.zeros(n, dtype=np.int64)
+    for v in range(1, n):
+        coupled = level[:v][sym[:v, v] != 0.0]
+        if coupled.size:
+            level[v] = coupled.max() + 1
+    ends = np.cumsum(np.bincount(level)).tolist()
+    return np.argsort(level, kind="stable"), list(zip([0] + ends[:-1], ends))
+
+
 def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     """Simulated annealing: independent restarts of single-flip Metropolis.
 
@@ -167,12 +201,23 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     flip with probability min(1, exp(-beta * dE)) while beta follows a
     geometric ramp from ``beta_start`` to ``beta_end``.  The final state
     of each read is appended in read order.
+
+    A sweep updates each level of :func:`_level_runs` in one step, for
+    all reads of a block at once; that is the sequential sweep, because
+    Metropolis updates of uncoupled variables commute.
     """
     t0 = time.perf_counter()
     n = q.n_vars
     beta_start, beta_end = p.effective_betas(q)
     betas = np.geomspace(beta_start, beta_end, p.sweeps_per_read)
     diag, sym = q.symmetric_parts()
+    order, runs = _level_runs(sym)
+    # Per level: its span, its coupling rows and its linear terms, with
+    # variables in level order.
+    steps = [
+        (slice(a, b), sym[np.ix_(order[a:b], order)], diag[order[a:b], None])
+        for a, b in runs
+    ]
 
     samples: list[Sample] = []
     # Reads run lock-step in blocks for vectorization; every read still
@@ -181,24 +226,30 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     block_size = max(1, min(p.num_reads, (1 << 23) // max(1, p.sweeps_per_read * n)))
     for block_start in range(0, len(reads), block_size):
         block = reads[block_start : block_start + block_size]
-        states = np.empty((len(block), n))
-        uniforms = np.empty((len(block), p.sweeps_per_read, n))
+        # Variables-major, in level order: states[i, row] is variable
+        # order[i] of read block[row].
+        states = np.empty((n, len(block)))
+        thresholds = np.empty((p.sweeps_per_read, n, len(block)))
         for row, read_index in enumerate(block):
             rng = np.random.default_rng(p.seed ^ read_index)
-            states[row] = rng.integers(0, 2, size=n)
-            uniforms[row] = rng.random((p.sweeps_per_read, n))
-        for sweep in range(p.sweeps_per_read):
-            beta = betas[sweep]
-            for v in range(n):
-                sign = 1.0 - 2.0 * states[:, v]
-                delta = sign * (diag[v] + states @ sym[:, v])
-                accept = uniforms[:, sweep, v] < np.exp(
-                    -beta * np.maximum(delta, 0.0)
-                )
-                states[:, v] += accept * sign
-        energies = _chunk_energies(q, states)
+            states[:, row] = rng.integers(0, 2, size=n)[order]
+            thresholds[:, :, row] = rng.random((p.sweeps_per_read, n))[:, order]
+        # u < exp(-beta * max(delta, 0)) rewritten as delta < -ln(u) / beta;
+        # the two disagree only where u is within rounding of the bound.
+        with np.errstate(divide="ignore"):
+            np.log(thresholds, out=thresholds)
+        thresholds /= -betas[:, None, None]
+        for sweep_thresholds in thresholds:
+            for run, couplings, linear in steps:
+                x = states[run]
+                sign = 1.0 - 2.0 * x
+                delta = sign * (linear + couplings @ states)
+                x += (delta < sweep_thresholds[run]) * sign
+        final = np.empty((len(block), n))
+        final[:, order] = states.T
+        energies = _chunk_energies(q, final)
         for row, read_index in enumerate(block):
-            bits = tuple(int(b) for b in states[row])
+            bits = tuple(int(b) for b in final[row])
             samples.append(
                 Sample(bits=bits, energy=float(energies[row]), read_index=read_index)
             )
@@ -217,6 +268,77 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     )
 
 
+def _tabu_walks(
+    q: QuboMatrix,
+    reads: list[int],
+    seed: int,
+    tenure: int,
+    max_stall: int,
+    moves: dict[int, list] | None,
+) -> dict[int, np.ndarray]:
+    """Best state of each read in ``reads``, all walked in lock step.
+
+    Row i of every array is the walk of one read, and a row is dropped
+    once its read stalls out.  No step mixes rows, so each read takes the
+    moves it would take alone.  ``moves``, when given, gets each read's
+    trace tuples under its read index.
+    """
+    n = q.n_vars
+    diag, sym = q.symmetric_parts()
+    x = np.empty((len(reads), n))
+    energy = np.empty(len(reads))
+    for row, read_index in enumerate(reads):
+        rng = np.random.default_rng(seed ^ read_index)
+        start = rng.integers(0, 2, size=n).astype(float)
+        x[row] = start
+        energy[row] = q.energy(start)
+    active = np.array(reads)
+    best_x = x.copy()
+    best_energy = energy.copy()
+    tabu_until = np.zeros(x.shape, dtype=np.int64)
+    stall = np.zeros(len(reads), dtype=np.int64)
+    rows = np.arange(len(reads))
+    best_of: dict[int, np.ndarray] = {}
+    iteration = 0
+    while active.size:
+        iteration += 1
+        sign = 1.0 - 2.0 * x
+        # The stacked product is one gemv per read, the same kernel and
+        # summation order as ``sym @ x`` for one read.  A single gemm
+        # (``x @ sym.T``) sums in another order, and on markets where
+        # moves tie exactly, argmin then settles the ties differently.
+        deltas = sign * (diag + (sym @ x[:, :, None])[:, :, 0])
+        candidate = energy[:, None] + deltas
+        aspiration = candidate < (best_energy - ENERGY_EPS)[:, None]
+        allowed = (tabu_until < iteration) | aspiration
+        allowed[~allowed.any(axis=1)] = True
+        v = np.argmin(np.where(allowed, candidate, np.inf), axis=1)
+        if moves is not None:
+            for read_index, var, was_tabu, aspired in zip(
+                active.tolist(),
+                v.tolist(),
+                (tabu_until[rows, v] >= iteration).tolist(),
+                aspiration[rows, v].tolist(),
+            ):
+                moves[read_index].append((read_index, iteration, var, was_tabu, aspired))
+        x[rows, v] = 1.0 - x[rows, v]
+        energy = candidate[rows, v]
+        tabu_until[rows, v] = iteration + tenure
+        improved = energy < best_energy - ENERGY_EPS
+        best_energy = np.where(improved, energy, best_energy)
+        best_x[improved] = x[improved]
+        stall = np.where(improved, 0, stall + 1)
+        done = stall >= max_stall
+        if done.any():
+            best_of.update(zip(active[done].tolist(), best_x[done]))
+            keep = ~done
+            active, x, energy, best_x, best_energy, tabu_until, stall = (
+                a[keep] for a in (active, x, energy, best_x, best_energy, tabu_until, stall)
+            )
+            rows = np.arange(active.size)
+    return best_of
+
+
 def sample_tabu(
     q: QuboMatrix, p: SamplerParams, trace: list | None = None
 ) -> SampleSet:
@@ -229,61 +351,36 @@ def sample_tabu(
     without improving its best (recorded as ``max_iterations_per_read``).
     The best state of each read is appended in read order.
 
+    Reads walk in lock step (:func:`_tabu_walks`), in blocks that bound
+    the state arrays to ``_TABU_BLOCK_ELEMENTS`` entries.
+
     ``trace``, when given, collects (read_index, iteration, variable,
-    was_tabu, aspiration) tuples for diagnostics.
+    was_tabu, aspiration) tuples for diagnostics, read by read.
     """
     t0 = time.perf_counter()
     n = q.n_vars
     tenure = p.effective_tenure(n)
     max_stall = 50 * n
-    diag, sym = q.symmetric_parts()
 
     samples: list[Sample] = []
-    for read_index in range(1, p.num_reads + 1):
-        rng = np.random.default_rng(p.seed ^ read_index)
-        x = rng.integers(0, 2, size=n).astype(float)
-        energy = q.energy(x)
-        best_x = x.copy()
-        best_energy = energy
-        tabu_until = np.zeros(n, dtype=np.int64)
-        stall = 0
-        iteration = 0
-        while stall < max_stall:
-            iteration += 1
-            sign = 1.0 - 2.0 * x
-            deltas = sign * (diag + sym @ x)
-            candidate = energy + deltas
-            aspiration = candidate < best_energy - ENERGY_EPS
-            allowed = (tabu_until < iteration) | aspiration
-            if not np.any(allowed):
-                allowed = np.ones(n, dtype=bool)
-            masked = np.where(allowed, candidate, np.inf)
-            v = int(np.argmin(masked))
-            if trace is not None:
-                trace.append(
-                    (
-                        read_index,
-                        iteration,
-                        v,
-                        bool(tabu_until[v] >= iteration),
-                        bool(aspiration[v]),
-                    )
+    block_size = max(1, _TABU_BLOCK_ELEMENTS // n)
+    for block_start in range(1, p.num_reads + 1, block_size):
+        block = list(range(block_start, min(block_start + block_size, p.num_reads + 1)))
+        moves = None if trace is None else {read_index: [] for read_index in block}
+        best_of = _tabu_walks(q, block, p.seed, tenure, max_stall, moves)
+        for read_index in block:
+            if moves is not None:
+                trace.extend(moves[read_index])
+            best = best_of[read_index]
+            # Re-evaluate from scratch so stored energies are free of the
+            # tiny drift incremental updates can accumulate.
+            samples.append(
+                Sample(
+                    bits=tuple(int(b) for b in best),
+                    energy=q.energy(best),
+                    read_index=read_index,
                 )
-            x[v] = 1.0 - x[v]
-            energy = float(candidate[v])
-            tabu_until[v] = iteration + tenure
-            if energy < best_energy - ENERGY_EPS:
-                best_energy = energy
-                best_x = x.copy()
-                stall = 0
-            else:
-                stall += 1
-        bits = tuple(int(b) for b in best_x)
-        # Re-evaluate from scratch so stored energies are free of the tiny
-        # drift incremental updates can accumulate.
-        samples.append(
-            Sample(bits=bits, energy=q.energy(best_x), read_index=read_index)
-        )
+            )
 
     return _sample_set(
         samples,

@@ -213,6 +213,24 @@ class TestTiming:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_parameter_is_usage_error(self, value, capsys):
+        code = main(
+            ["timing", "--programming", value, "--readout", "0", "--reads", "1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: t_programming")
+
+    def test_overflowing_total_prints_inf(self, capsys):
+        code = main(
+            [
+                "timing", "--programming", "1e308", "--anneal", "1e308",
+                "--readout", "0", "--delay", "0", "--reads", "1,2",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["1,inf", "2,inf"]
+
 
 class TestOracleCommand:
     def test_fig1(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from arbqubo import (
     DimensionError,
+    ModelError,
     QuboMatrix,
     Sample,
     SampleSet,
@@ -63,6 +64,25 @@ class TestAddCoefficient:
         q = QuboMatrix(3)
         with pytest.raises(IndexError):
             q.add_coefficient(0, 3, 1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, value):
+        q = QuboMatrix(3)
+        with pytest.raises(ModelError):
+            q.add_coefficient(0, 0, value)
+        assert q.coefficient(0, 0) == 0.0
+
+    def test_overflowing_sum_rejected(self):
+        q = QuboMatrix(2)
+        q.add_coefficient(0, 1, 1e308)
+        with pytest.raises(ModelError):
+            q.add_coefficient(1, 0, 1e308)
+        assert q.coefficient(0, 1) == 1e308
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf")])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ModelError):
+            QuboMatrix(3, offset=offset)
 
     def test_lower_triangle_stays_zero(self):
         rng = np.random.default_rng(5)
@@ -163,6 +183,18 @@ class TestJsonInterchange:
     def test_rejects_lower_triangular_input(self):
         with pytest.raises(DimensionError):
             qubo_from_json('{"n_vars": 3, "offset": 0, "terms": [[2, 0, 1.0]]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_vars": 2, "offset": NaN, "terms": []}',
+            '{"n_vars": 2, "offset": 0, "terms": [[0, 1, NaN]]}',
+            '{"n_vars": 2, "offset": 0, "terms": [[1, 1, -Infinity]]}',
+        ],
+    )
+    def test_rejects_non_finite_input(self, text):
+        with pytest.raises(ModelError):
+            qubo_from_json(text)
 
     def test_sampleset_round_trip(self):
         s = SampleSet(

@@ -3,8 +3,12 @@
 The exact solver is checked against a fresh term-by-term enumeration that
 shares no code with the chunked numpy path.  The stochastic samplers are
 checked for determinism, per-read independence, production ordering, and
-for actually reaching the known optimum on planted instances.
+for actually reaching the known optimum on planted instances.  Golden
+values pin their exact output, and SA is checked against a plain
+sequential sweep.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from arbqubo import (
     ParamError,
     ProblemShape,
     QuboMatrix,
+    RateMatrix,
     SamplerParams,
     TooLarge,
     build_qubo,
@@ -25,6 +30,7 @@ from arbqubo import (
     solve_exact,
     to_log_weights,
 )
+from arbqubo import solvers
 
 ETOL = 1e-9
 
@@ -34,6 +40,42 @@ def planted_qubo(n=5, k=4, seed=7, strength=1.05):
     w = to_log_weights(rm)
     shape = ProblemShape(n, k)
     return build_qubo(w, shape, default_weights(w, shape))
+
+
+def noisy_loop_qubo():
+    """N=5 K=4 planted loop on a market with up to 1% noise on each rate.
+
+    The noise breaks the exact move ties of an arbitrage-free market,
+    which tabu would settle on the last bits of BLAS sums, so the golden
+    values below do not depend on the BLAS build.
+    """
+    base = generate_consistent(5, seed=7)
+    noise = np.exp(np.random.default_rng(7).uniform(-0.01, 0.01, size=(5, 5)))
+    np.fill_diagonal(noise, 1.0)
+    rm = plant_cycle(RateMatrix(base.labels, base.rate * noise), (0, 1, 2), 1.05)
+    w = to_log_weights(rm)
+    shape = ProblemShape(5, 4)
+    return build_qubo(w, shape, default_weights(w, shape))
+
+
+def dense_qubo():
+    rng = np.random.default_rng(5)
+    q = QuboMatrix(8, offset=float(rng.normal()))
+    for i in range(8):
+        for j in range(i, 8):
+            q.add_coefficient(i, j, float(rng.normal()))
+    return q
+
+
+def sparse_qubo(n, density, seed):
+    rng = np.random.default_rng(seed)
+    q = QuboMatrix(n)
+    for i in range(n):
+        q.add_coefficient(i, i, float(rng.normal()))
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                q.add_coefficient(i, j, float(rng.normal()))
+    return q
 
 
 def naive_minimum(q: QuboMatrix) -> float:
@@ -123,6 +165,11 @@ class TestSamplerParams:
         with pytest.raises(ParamError):
             SamplerParams(beta_start=1.0)
 
+    @pytest.mark.parametrize("betas", [(1.0, float("inf")), (float("nan"), 1.0)])
+    def test_non_finite_betas_rejected(self, betas):
+        with pytest.raises(ParamError):
+            SamplerParams(beta_start=betas[0], beta_end=betas[1])
+
     def test_bad_tenure(self):
         with pytest.raises(ParamError):
             SamplerParams(tabu_tenure=0)
@@ -200,6 +247,26 @@ class TestTabu:
         params = SamplerParams(num_reads=10, seed=21)
         assert sample_tabu(q, params).samples == sample_tabu(q, params).samples
 
+    def test_reads_are_independent_of_read_count(self):
+        q = planted_qubo(n=4, k=3)
+        small_trace: list = []
+        large_trace: list = []
+        small = sample_tabu(q, SamplerParams(num_reads=3, seed=2), trace=small_trace)
+        large = sample_tabu(q, SamplerParams(num_reads=8, seed=2), trace=large_trace)
+        assert small.samples == large.samples[:3]
+        assert small_trace == large_trace[: len(small_trace)]
+
+    def test_read_blocks_do_not_change_output(self, monkeypatch):
+        q = planted_qubo(n=3, k=3)
+        params = SamplerParams(num_reads=8, seed=5)
+        whole_trace: list = []
+        blocked_trace: list = []
+        whole = sample_tabu(q, params, trace=whole_trace)
+        monkeypatch.setattr(solvers, "_TABU_BLOCK_ELEMENTS", 3 * q.n_vars)
+        blocked = sample_tabu(q, params, trace=blocked_trace)
+        assert blocked.samples == whole.samples
+        assert blocked_trace == whole_trace
+
     def test_energies_reevaluate(self):
         q = planted_qubo(n=4, k=4)
         result = sample_tabu(q, SamplerParams(num_reads=10, seed=6))
@@ -229,3 +296,148 @@ class TestTabu:
         q = planted_qubo(n=3, k=3)
         result = sample_tabu(q, SamplerParams(num_reads=7, seed=0))
         assert [s.read_index for s in result.samples] == list(range(1, 8))
+
+
+# Output of the sequential one-read-at-a-time samplers on two QUBOs:
+# (QUBO, SA params, SA reads, tabu params, tabu reads, tabu trace), a read
+# being (bits, energy, read_index) and the trace (moves, last iteration per
+# read, sha256 of the trace's repr).
+GOLDEN = {
+    "loop": (
+        noisy_loop_qubo,
+        SamplerParams(num_reads=5, seed=9, sweeps_per_read=30),
+        [
+            ("01000000000000001011", -104.38840457377545, 1),
+            ("01001001000000000010", -104.39377370939582, 2),
+            ("01000000000010110000", -104.39366916495382, 3),
+            ("00100100000010010000", -104.40898029248893, 4),
+            ("00001011000000000100", -104.39065801384655, 5),
+        ],
+        SamplerParams(num_reads=4, seed=9),
+        [
+            ("11010010000000000000", -104.46230058320927, 1),
+            ("01101001000000000000", -104.46230058320927, 2),
+            ("01101001000000000000", -104.46230058320927, 3),
+            ("10010110000000000000", -104.46230058320927, 4),
+        ],
+        (
+            4076,
+            {1: 1006, 2: 1047, 3: 1013, 4: 1010},
+            "0c49d1ae976d4f74538d081c05099bf336fa4d9a239b3e44ab9650216382c140",
+        ),
+    ),
+    "dense": (
+        dense_qubo,
+        SamplerParams(num_reads=5, seed=9, sweeps_per_read=3),
+        [
+            ("01111111", -10.152435530752557, 1),
+            ("11111111", -10.647639883744898, 2),
+            ("11111111", -10.647639883744898, 3),
+            ("01111011", -10.37180616902295, 4),
+            ("01111011", -10.37180616902295, 5),
+        ],
+        SamplerParams(num_reads=4, seed=9),
+        [
+            ("11111111", -10.647639883744896, 1),
+            ("11111111", -10.647639883744896, 2),
+            ("11111111", -10.647639883744896, 3),
+            ("11111111", -10.647639883744896, 4),
+        ],
+        (
+            1613,
+            {1: 404, 2: 404, 3: 403, 4: 402},
+            "ec121b071f9662ce265372a85fa732c4a1d4f97c34490a8c288dcf4d5e4c1e7b",
+        ),
+    ),
+}
+
+
+def assert_samples(result, expected):
+    assert [("".join(map(str, s.bits)), s.read_index) for s in result.samples] == [
+        (bits, read_index) for bits, _, read_index in expected
+    ]
+    for sample, (_, energy, _) in zip(result.samples, expected):
+        assert sample.energy == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+class TestGoldenOutput:
+    def test_sa(self, name):
+        make, params, expected, *_ = GOLDEN[name]
+        assert_samples(sample_sa(make(), params), expected)
+
+    def test_tabu_samples_and_trace(self, name):
+        make, _, _, params, expected, (moves, last, digest) = GOLDEN[name]
+        trace: list = []
+        assert_samples(sample_tabu(make(), params, trace=trace), expected)
+        assert len(trace) == moves
+        assert {read: iteration for read, iteration, *_ in trace} == last
+        assert hashlib.sha256(repr(trace).encode()).hexdigest() == digest
+
+
+def sequential_sa(q: QuboMatrix, p: SamplerParams) -> list[tuple[int, ...]]:
+    """Final bits of each read of a plain sweep over variables 0..n-1."""
+    betas = np.geomspace(*p.effective_betas(q), p.sweeps_per_read)
+    diag, sym = q.symmetric_parts()
+    finals = []
+    for read_index in range(1, p.num_reads + 1):
+        rng = np.random.default_rng(p.seed ^ read_index)
+        x = rng.integers(0, 2, size=q.n_vars).astype(float)
+        uniforms = rng.random((p.sweeps_per_read, q.n_vars))
+        for beta, sweep_uniforms in zip(betas, uniforms):
+            for v in range(q.n_vars):
+                delta = (1.0 - 2.0 * x[v]) * (diag[v] + sym[v] @ x)
+                if sweep_uniforms[v] < np.exp(-beta * max(delta, 0.0)):
+                    x[v] = 1.0 - x[v]
+        finals.append(tuple(int(b) for b in x))
+    return finals
+
+
+class TestLevelOrderedSweeps:
+    QUBOS = {
+        "loop-3x3": lambda: planted_qubo(n=3, k=3),
+        "loop-5x4": lambda: planted_qubo(),
+        "loop-4x5": lambda: planted_qubo(n=4, k=5),
+        "loop-8x6": lambda: planted_qubo(n=8, k=6, seed=3),
+        "sparse-30": lambda: sparse_qubo(30, 0.1, seed=1),
+        "sparse-40": lambda: sparse_qubo(40, 0.3, seed=2),
+        "diagonal": lambda: sparse_qubo(12, 0.0, seed=3),
+        "dense": dense_qubo,
+    }
+
+    @pytest.mark.parametrize("name", sorted(QUBOS))
+    def test_levels_are_uncoupled_and_ordered(self, name):
+        _, sym = self.QUBOS[name]().symmetric_parts()
+        n = sym.shape[0]
+        order, runs = solvers._level_runs(sym)
+        assert sorted(order.tolist()) == list(range(n))
+        assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]]
+        assert runs[-1][1] == n
+        level_of = np.empty(n, dtype=int)
+        for level, (a, b) in enumerate(runs):
+            members = order[a:b]
+            assert b > a
+            assert not sym[np.ix_(members, members)].any()
+            level_of[members] = level
+        for u, v in zip(*np.nonzero(np.triu(sym))):
+            assert level_of[u] < level_of[v]
+
+    @pytest.mark.parametrize(
+        "q, levels",
+        [
+            (planted_qubo(), 12),
+            (planted_qubo(n=30, k=8), 66),
+            (dense_qubo(), 8),
+            (sparse_qubo(12, 0.0, seed=3), 1),
+        ],
+        ids=["loop-5x4", "loop-30x8", "dense", "diagonal"],
+    )
+    def test_level_counts(self, q, levels):
+        assert len(solvers._level_runs(q.symmetric_parts()[1])[1]) == levels
+
+    @pytest.mark.parametrize("name", ["loop-4x5", "sparse-30", "dense"])
+    def test_matches_sequential_sweep(self, name):
+        q = self.QUBOS[name]()
+        params = SamplerParams(num_reads=3, seed=4, sweeps_per_read=25)
+        result = sample_sa(q, params)
+        assert [s.bits for s in result.samples] == sequential_sa(q, params)
