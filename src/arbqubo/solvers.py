@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import ParamError, TooLarge
-from .qubo import QuboMatrix, Sample, SampleSet
+from .errors import ModelError, ParamError, TooLarge
+from .qubo import QuboMatrix, RankedStates, Sample, SampleSet, _state_bits
 
 EXACT_SOLVER_NAME = "exact"
 SA_SOLVER_NAME = "simulated_annealing"
@@ -96,35 +96,44 @@ class SamplerParams:
         return self.tabu_tenure if self.tabu_tenure is not None else math.ceil(n_vars / 4)
 
 
-def _state_bits(index: int, n: int) -> tuple[int, ...]:
-    """Bits of enumeration state ``index``; bit 0 is the high bit.
-
-    With that convention, ascending state index is exactly ascending
-    lexicographic order of the bit tuples, so stable sorts on energy break
-    ties lexicographically for free.
-    """
-    return tuple((index >> shift) & 1 for shift in range(n - 1, -1, -1))
-
-
 def _chunk_energies(q: QuboMatrix, bits: np.ndarray) -> np.ndarray:
     return ((bits @ q.upper) * bits).sum(axis=1) + q.offset
 
 
 def _enumerate_energies(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """Energies of all 2^n states as ``(start, energies)`` chunks in
-    ascending state-index order."""
+    ascending state-index order.
+
+    The size guard is checked on the call, before any chunk is asked for.
+    Finite coefficients can still sum past the float range; such a state
+    has no energy to rank, so the chunk holding it raises
+    :class:`ModelError`.
+    """
+    if q.n_vars > EXACT_MAX_VARS:
+        raise TooLarge(f"{q.n_vars} variables exceeds enumeration guard {EXACT_MAX_VARS}")
+    return _energy_chunks(q)
+
+
+def _energy_chunks(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
     n = q.n_vars
-    if n > EXACT_MAX_VARS:
-        raise TooLarge(f"{n} variables exceeds enumeration guard {EXACT_MAX_VARS}")
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)[None, :]
     total = 1 << n
     for start in range(0, total, _ENUM_CHUNK):
         idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)[:, None]
-        yield start, _chunk_energies(q, ((idx >> shifts) & 1).astype(float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = _chunk_energies(q, ((idx >> shifts) & 1).astype(float))
+        # min and max propagate NaN and show +-inf without a mask array.
+        if not (math.isfinite(energies.min()) and math.isfinite(energies.max())):
+            state = start + int(np.argmin(np.isfinite(energies)))
+            raise ModelError(
+                f"energy of state {_state_bits(state, n)} is {energies[state - start]}: "
+                "the coefficients overflow the float range"
+            )
+        yield start, energies
 
 
 def _sample_set(
-    samples: list[Sample], t0: float, solver_name: str, params: dict | None
+    samples: Sequence[Sample], t0: float, solver_name: str, params: dict | None
 ) -> SampleSet:
     """Wrap a solver's samples with its wall time since ``t0``."""
     return SampleSet(
@@ -152,24 +161,19 @@ def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
 def solve_exact(q: QuboMatrix) -> SampleSet:
     """Enumerate all 2^n states, sorted by ascending energy.
 
-    Ties break by lexicographic bitvector order.  Each state becomes a
-    Sample, so memory grows as 2^n; n near the guard of 26 is legal but
-    expect gigabytes -- use :func:`ground_state` when only the optimum
-    matters.
+    Ties break by lexicographic bitvector order.  The samples are a
+    :class:`~arbqubo.qubo.RankedStates` view over the energies and their
+    ranking, 16 bytes per state (about 1 GiB at the guard of 26 variables);
+    each Sample is built when it is read.  Use :func:`ground_state` when
+    only the optimum matters.
     """
     t0 = time.perf_counter()
-    n = q.n_vars
-    energies = np.concatenate([chunk for _, chunk in _enumerate_energies(q)])
+    chunks = _enumerate_energies(q)
+    energies = np.empty(1 << q.n_vars)
+    for start, chunk in chunks:
+        energies[start : start + len(chunk)] = chunk
     order = np.argsort(energies, kind="stable")
-    samples = [
-        Sample(
-            bits=_state_bits(int(state), n),
-            energy=float(energies[state]),
-            read_index=rank,
-        )
-        for rank, state in enumerate(order, start=1)
-    ]
-    return _sample_set(samples, t0, EXACT_SOLVER_NAME, None)
+    return _sample_set(RankedStates(energies, order, q.n_vars), t0, EXACT_SOLVER_NAME, None)
 
 
 def _level_runs(sym: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:

@@ -8,7 +8,16 @@ import json
 
 import pytest
 
-from arbqubo import best_cycle_bruteforce, load_rates, sampleset_from_json
+from arbqubo import (
+    ProblemShape,
+    best_cycle_bruteforce,
+    build_qubo,
+    default_weights,
+    load_rates,
+    sampleset_from_json,
+    solve_exact,
+    to_log_weights,
+)
 from arbqubo.cli import main
 
 from conftest import fig1_csv_bytes
@@ -106,6 +115,24 @@ class TestSolve:
         assert len(stored) == 5
         model = json.loads(model_file.read_text())
         assert model["labels"] == ["USD", "EUR", "GBP"]
+
+    def test_exact_out_round_trips_every_state(self, tmp_path, capsys):
+        rates = write_fig1(tmp_path)
+        sample_file = tmp_path / "samples.json"
+        code = main(
+            ["solve", "--rates", rates, "--loop-length", "4", "--out", str(sample_file)]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        stored = sampleset_from_json(sample_file.read_text())
+        assert stored.solver_name == "exact"
+        assert len(stored) == 4096
+        assert f"best energy: {stored.samples[0].energy!r}" in printed
+        with open(rates, "rb") as fh:
+            w = to_log_weights(load_rates(fh, "csv"))
+        shape = ProblemShape(3, 4)
+        q = build_qubo(w, shape, default_weights(w, shape))
+        assert stored.samples == list(solve_exact(q).samples)
 
     def test_missing_rates_file_is_io_error(self):
         assert main(["solve", "--rates", "/no/such/file.csv"]) == 2

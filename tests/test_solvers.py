@@ -9,15 +9,18 @@ sequential sweep.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from arbqubo import (
+    ModelError,
     ParamError,
     ProblemShape,
     QuboMatrix,
     RateMatrix,
+    Sample,
     SamplerParams,
     TooLarge,
     build_qubo,
@@ -137,6 +140,10 @@ class TestSolveExact:
         with pytest.raises(TooLarge):
             solve_exact(QuboMatrix(27))
 
+    def test_guard_precedes_allocation(self):
+        with pytest.raises(TooLarge):  # 2^64 energies could not be allocated
+            solve_exact(QuboMatrix(64))
+
     def test_wall_time_recorded(self):
         result = solve_exact(QuboMatrix(2))
         assert result.timing["wall_time_us"] > 0
@@ -147,6 +154,81 @@ class TestSolveExact:
         full = solve_exact(q)
         assert bits == full.samples[0].bits
         assert energy == full.samples[0].energy
+
+
+def overflowing_qubo():
+    """Finite coefficients whose sums leave the float range."""
+    q = QuboMatrix(3)
+    for i, j, v in [(0, 0, 1e308), (0, 1, 1e308), (1, 1, 1e308), (0, 2, -1e308), (1, 2, -1e308)]:
+        q.add_coefficient(i, j, v)
+    return q
+
+
+class TestNonFiniteEnergies:
+    def test_ground_state_rejects_overflow(self):
+        with pytest.raises(ModelError):
+            ground_state(overflowing_qubo())
+
+    def test_solve_exact_rejects_overflow(self):
+        with pytest.raises(ModelError):
+            solve_exact(overflowing_qubo())
+
+
+def tied_qubo():
+    """6 variables, coefficients in {-1, 0, 1}: exact sums, many ties."""
+    rng = np.random.default_rng(11)
+    q = QuboMatrix(6)
+    for i in range(6):
+        for j in range(i, 6):
+            q.add_coefficient(i, j, float(rng.integers(-1, 2)))
+    return q
+
+
+def ranked_reference(q: QuboMatrix) -> list[Sample]:
+    """All states by (energy, bits), energies summed term by term."""
+    scored = []
+    for bits in itertools.product((0, 1), repeat=q.n_vars):
+        total = q.offset + sum(
+            q.coefficient(i, j)
+            for i in range(q.n_vars)
+            for j in range(i, q.n_vars)
+            if bits[i] and bits[j]
+        )
+        scored.append((total, bits))
+    scored.sort()
+    return [Sample(bits, energy, rank) for rank, (energy, bits) in enumerate(scored, start=1)]
+
+
+class TestRankedStates:
+    def test_ranking_matches_reference(self):
+        q = tied_qubo()
+        reference = ranked_reference(q)
+        assert len({s.energy for s in reference}) < 16  # 64 states, heavy ties
+        assert list(solve_exact(q).samples) == reference
+
+    def test_best_is_minimum_of_materialized_list(self):
+        result = solve_exact(tied_qubo())
+        assert result.best() == min(list(result.samples), key=lambda s: (s.energy, s.bits))
+
+    def test_sequence_access(self):
+        q = tied_qubo()
+        reference = ranked_reference(q)
+        samples = solve_exact(q).samples
+        assert len(samples) == 64
+        assert samples[5] == reference[5]
+        assert samples[-1] == reference[-1]
+        assert samples[-64] == reference[0]
+        assert samples[10:20] == reference[10:20]
+        assert samples[::-7] == reference[::-7]
+        assert samples[60:100] == reference[60:]
+        with pytest.raises(IndexError):
+            samples[64]
+        with pytest.raises(IndexError):
+            samples[-65]
+        assert samples == reference
+        assert reference == samples
+        assert samples != reference[:-1]
+        assert samples != reference[::-1]
 
 
 class TestSamplerParams:
