@@ -234,18 +234,30 @@ def qubo_from_json(text: str) -> QuboMatrix:
     return q
 
 
+def _sample_records(samples: Sequence[Sample]) -> Iterator[tuple[str, float, int]]:
+    """(bits string, energy, read index) of each sample, in order.
+
+    A :class:`RankedStates` is read straight from its arrays, without
+    building a ``Sample`` per state.
+    """
+    if isinstance(samples, RankedStates):
+        width = f"0{samples.n_vars}b"
+        ranked = zip(samples.order.tolist(), samples.energies[samples.order].tolist())
+        for rank, (state, energy) in enumerate(ranked, start=1):
+            yield format(state, width), energy, rank
+    else:
+        for smp in samples:
+            yield "".join(str(b) for b in smp.bits), smp.energy, smp.read_index
+
+
 def sampleset_to_json(s: SampleSet) -> str:
     obj = {
         "solver": s.solver_name,
         "params": s.params,
         "timing": s.timing,
         "samples": [
-            {
-                "bits": "".join(str(b) for b in smp.bits),
-                "energy": smp.energy,
-                "read_index": smp.read_index,
-            }
-            for smp in s.samples
+            {"bits": bits, "energy": energy, "read_index": read_index}
+            for bits, energy, read_index in _sample_records(s.samples)
         ],
     }
     return json.dumps(obj)

@@ -13,8 +13,11 @@ its output by solver name.
 
 Both samplers vectorize across reads without changing what a read does.
 Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
-array each, and computes every row's move deltas with a stacked
-matrix-vector product that sums exactly as the one-read product does.
+array each.  A row keeps the local fields ``diag + sym @ x`` of its state
+and updates them in O(n) per flip, so its n move deltas cost no
+matrix-vector product.  Tabu moves whose energies lie within
+``ENERGY_EPS`` of the best allowed one tie, and the lowest variable index
+wins (:func:`_lowest_tied`): rounding noise never picks the move.
 SA keeps its states variables-major and updates, in one step, each run of
 mutually uncoupled variables: the QUBO's sparsity pattern orders the
 variables into levels so that updating level after level is the
@@ -46,7 +49,10 @@ _TABU_BLOCK_ELEMENTS = 1 << 18
 
 # Package-wide "same energy" tolerance.  Tabu's incremental energies drift
 # by ulps over long walks; improvements below this are noise, and treating
-# them as progress would reset the stall counter indefinitely.
+# them as progress would reset the stall counter indefinitely.  It is also
+# tabu's tie rule: moves within it of the best allowed move tie, and the
+# lowest variable index wins, so exact ties on arbitrage-free markets do
+# not hang on the last bits of a sum.
 ENERGY_EPS = 1e-9
 
 
@@ -144,6 +150,21 @@ def _sample_set(
     )
 
 
+def _read_sample(bits: np.ndarray, energy: float, read_index: int) -> Sample:
+    """A sampler read's final state at its energy evaluated from scratch.
+
+    A non-finite energy means the coefficients overflow the float range,
+    and the read has no energy to rank: :class:`ModelError`.
+    """
+    state = tuple(int(b) for b in bits)
+    if not math.isfinite(energy):
+        raise ModelError(
+            f"energy of read {read_index} at state {state} is {energy}: "
+            "the coefficients overflow the float range"
+        )
+    return Sample(bits=state, energy=float(energy), read_index=read_index)
+
+
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     """Lowest-energy state by chunked enumeration, without materializing
     the full sample list.  Same guard and tie-break as :func:`solve_exact`.
@@ -197,6 +218,7 @@ def _level_runs(sym: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return np.argsort(level, kind="stable"), list(zip([0] + ends[:-1], ends))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     """Simulated annealing: independent restarts of single-flip Metropolis.
 
@@ -209,6 +231,8 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     A sweep updates each level of :func:`_level_runs` in one step, for
     all reads of a block at once; that is the sequential sweep, because
     Metropolis updates of uncoupled variables commute.
+
+    A read whose final energy is not finite raises :class:`ModelError`.
     """
     t0 = time.perf_counter()
     n = q.n_vars
@@ -253,10 +277,7 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
         final[:, order] = states.T
         energies = _chunk_energies(q, final)
         for row, read_index in enumerate(block):
-            bits = tuple(int(b) for b in final[row])
-            samples.append(
-                Sample(bits=bits, energy=float(energies[row]), read_index=read_index)
-            )
+            samples.append(_read_sample(final[row], energies[row], read_index))
 
     return _sample_set(
         samples,
@@ -270,6 +291,11 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
             "beta_end": beta_end,
         },
     )
+
+
+def _lowest_tied(values: np.ndarray) -> np.ndarray:
+    """Per row, the lowest column within ``ENERGY_EPS`` of the row minimum."""
+    return np.argmax(values <= values.min(axis=1, keepdims=True) + ENERGY_EPS, axis=1)
 
 
 def _tabu_walks(
@@ -286,6 +312,11 @@ def _tabu_walks(
     once its read stalls out.  No step mixes rows, so each read takes the
     moves it would take alone.  ``moves``, when given, gets each read's
     trace tuples under its read index.
+
+    A row keeps its state as signs ``1 - 2x`` and its local fields
+    ``diag + sym @ x``, so the deltas of all n flips are ``sign * field``.
+    A flip of ``v`` with old sign ``s`` adds ``s * sym[v]`` to the fields:
+    O(n) per move instead of a matrix-vector product.
     """
     n = q.n_vars
     diag, sym = q.symmetric_parts()
@@ -296,53 +327,61 @@ def _tabu_walks(
         start = rng.integers(0, 2, size=n).astype(float)
         x[row] = start
         energy[row] = q.energy(start)
+    field = diag + (sym @ x[:, :, None])[:, :, 0]
+    sign = 1.0 - 2.0 * x
     active = np.array(reads)
-    best_x = x.copy()
-    best_energy = energy.copy()
-    tabu_until = np.zeros(x.shape, dtype=np.int64)
-    stall = np.zeros(len(reads), dtype=np.int64)
-    rows = np.arange(len(reads))
+    best_sign = sign.copy()
+    # Aspiration and improvement both need a move below best - ENERGY_EPS.
+    bar = energy - ENERGY_EPS
+    tabu_until = np.zeros(sign.shape, dtype=np.int64)
+    improved_at = np.zeros(len(reads), dtype=np.int64)
+    row_starts = np.arange(0, sign.size, n)
     best_of: dict[int, np.ndarray] = {}
     iteration = 0
     while active.size:
         iteration += 1
-        sign = 1.0 - 2.0 * x
-        # The stacked product is one gemv per read, the same kernel and
-        # summation order as ``sym @ x`` for one read.  A single gemm
-        # (``x @ sym.T``) sums in another order, and on markets where
-        # moves tie exactly, argmin then settles the ties differently.
-        deltas = sign * (diag + (sym @ x[:, :, None])[:, :, 0])
-        candidate = energy[:, None] + deltas
-        aspiration = candidate < (best_energy - ENERGY_EPS)[:, None]
-        allowed = (tabu_until < iteration) | aspiration
-        allowed[~allowed.any(axis=1)] = True
-        v = np.argmin(np.where(allowed, candidate, np.inf), axis=1)
+        candidate = sign * field
+        candidate += energy[:, None]
+        aspiration = candidate < bar[:, None]
+        allowed = tabu_until < iteration
+        allowed |= aspiration
+        # At most ``tenure`` variables are tabu at once, so only a tenure
+        # of n or more can leave a row with no allowed move.
+        if tenure >= n:
+            allowed[~allowed.any(axis=1)] = True
+        v = _lowest_tied(np.where(allowed, candidate, np.inf))
+        flat = row_starts + v
         if moves is not None:
             for read_index, var, was_tabu, aspired in zip(
                 active.tolist(),
                 v.tolist(),
-                (tabu_until[rows, v] >= iteration).tolist(),
-                aspiration[rows, v].tolist(),
+                (tabu_until.take(flat) >= iteration).tolist(),
+                aspiration.take(flat).tolist(),
             ):
                 moves[read_index].append((read_index, iteration, var, was_tabu, aspired))
-        x[rows, v] = 1.0 - x[rows, v]
-        energy = candidate[rows, v]
-        tabu_until[rows, v] = iteration + tenure
-        improved = energy < best_energy - ENERGY_EPS
-        best_energy = np.where(improved, energy, best_energy)
-        best_x[improved] = x[improved]
-        stall = np.where(improved, 0, stall + 1)
-        done = stall >= max_stall
-        if done.any():
-            best_of.update(zip(active[done].tolist(), best_x[done]))
+        old = sign.take(flat)
+        field += old[:, None] * sym[v]
+        sign.put(flat, -old)
+        tabu_until.put(flat, iteration + tenure)
+        energy = candidate.take(flat)
+        improved = energy < bar
+        if improved.any():
+            bar[improved] = energy[improved] - ENERGY_EPS
+            best_sign[improved] = sign[improved]
+            improved_at[improved] = iteration
+        if improved_at.min() <= iteration - max_stall:
+            done = improved_at <= iteration - max_stall
+            best_of.update(zip(active[done].tolist(), (best_sign[done] < 0).astype(float)))
             keep = ~done
-            active, x, energy, best_x, best_energy, tabu_until, stall = (
-                a[keep] for a in (active, x, energy, best_x, best_energy, tabu_until, stall)
+            active, sign, field, energy, best_sign, bar, tabu_until, improved_at = (
+                a[keep]
+                for a in (active, sign, field, energy, best_sign, bar, tabu_until, improved_at)
             )
-            rows = np.arange(active.size)
+            row_starts = row_starts[: active.size]
     return best_of
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_tabu(
     q: QuboMatrix, p: SamplerParams, trace: list | None = None
 ) -> SampleSet:
@@ -351,12 +390,17 @@ def sample_tabu(
     Recently flipped variables are forbidden for ``tabu_tenure``
     iterations unless flipping one would beat the best energy seen in the
     read (aspiration).  Every iteration moves to the best allowed
-    neighbor, uphill if necessary; a read stops after 50*n iterations
-    without improving its best (recorded as ``max_iterations_per_read``).
-    The best state of each read is appended in read order.
+    neighbor, uphill if necessary; allowed moves within ``ENERGY_EPS`` of
+    the best one tie, and the lowest variable index wins.  A read stops
+    after 50*n iterations without improving its best (recorded as
+    ``max_iterations_per_read``).  The best state of each read is
+    appended in read order, at its energy evaluated from scratch; a
+    non-finite one raises :class:`ModelError`.
 
     Reads walk in lock step (:func:`_tabu_walks`), in blocks that bound
-    the state arrays to ``_TABU_BLOCK_ELEMENTS`` entries.
+    the state arrays to ``_TABU_BLOCK_ELEMENTS`` entries.  Each read keeps
+    its local fields ``diag + sym @ x``, computed once and updated in O(n)
+    per flip.
 
     ``trace``, when given, collects (read_index, iteration, variable,
     was_tabu, aspiration) tuples for diagnostics, read by read.
@@ -377,14 +421,8 @@ def sample_tabu(
                 trace.extend(moves[read_index])
             best = best_of[read_index]
             # Re-evaluate from scratch so stored energies are free of the
-            # tiny drift incremental updates can accumulate.
-            samples.append(
-                Sample(
-                    bits=tuple(int(b) for b in best),
-                    energy=q.energy(best),
-                    read_index=read_index,
-                )
-            )
+            # tiny drift the local-field updates accumulate.
+            samples.append(_read_sample(best, q.energy(best), read_index))
 
     return _sample_set(
         samples,

@@ -5,6 +5,7 @@ pairs, kept deliberately naive so it cannot share bugs with the matrix
 implementation it checks.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from arbqubo import (
     qubo_to_json,
     sampleset_from_json,
     sampleset_to_json,
+    solve_exact,
 )
 
 
@@ -219,3 +221,17 @@ class TestJsonInterchange:
         obj = json.loads(sampleset_to_json(s))
         assert obj["samples"][0]["bits"] == "10"
         assert obj["solver"] == "simulated_annealing"
+
+    def test_ranked_states_json_matches_sample_list(self):
+        ranked = solve_exact(random_qubo(np.random.default_rng(4), n=14))
+        listed = SampleSet(
+            samples=list(ranked.samples),
+            timing=ranked.timing,
+            solver_name=ranked.solver_name,
+            params=ranked.params,
+        )
+        # Digests, since pytest's diff of two 1 MB strings takes minutes.
+        digests = [
+            hashlib.sha256(sampleset_to_json(s).encode()).hexdigest() for s in (ranked, listed)
+        ]
+        assert digests[0] == digests[1]

@@ -4,12 +4,13 @@ The exact solver is checked against a fresh term-by-term enumeration that
 shares no code with the chunked numpy path.  The stochastic samplers are
 checked for determinism, per-read independence, production ordering, and
 for actually reaching the known optimum on planted instances.  Golden
-values pin their exact output, and SA is checked against a plain
-sequential sweep.
+values pin their exact output, and both samplers are checked against
+plain one-read-at-a-time references.
 """
 
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,24 @@ class TestNonFiniteEnergies:
     def test_solve_exact_rejects_overflow(self):
         with pytest.raises(ModelError):
             solve_exact(overflowing_qubo())
+
+    def test_tabu_rejects_overflow(self):
+        # Reads 1 and 4 end at states whose energy sums to NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="read 1 "):
+                sample_tabu(overflowing_qubo(), SamplerParams(num_reads=4, seed=1))
+
+    @pytest.mark.parametrize("sampler", [sample_sa, sample_tabu])
+    def test_samplers_reject_overflowing_descent(self, sampler):
+        q = QuboMatrix(3)  # every pair of set bits sums below -max float
+        for i in range(3):
+            for j in range(i, 3):
+                q.add_coefficient(i, j, -1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="read 1 "):
+                sampler(q, SamplerParams(num_reads=2, seed=1, sweeps_per_read=5))
 
 
 def tied_qubo():
@@ -523,3 +542,80 @@ class TestLevelOrderedSweeps:
         params = SamplerParams(num_reads=3, seed=4, sweeps_per_read=25)
         result = sample_sa(q, params)
         assert [s.bits for s in result.samples] == sequential_sa(q, params)
+
+
+def sequential_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
+    """Final bits and trace of each read of a one-read tabu walk.
+
+    Deltas come from ``QuboMatrix.energy_delta``; allowed moves within
+    ``ENERGY_EPS`` of the best one tie, and the lowest index wins.  Also
+    counts the iterations on which every variable was tabu.
+    """
+    eps = solvers.ENERGY_EPS
+    n = q.n_vars
+    tenure = p.effective_tenure(n)
+    finals, trace, all_tabu = [], [], 0
+    for read_index in range(1, p.num_reads + 1):
+        rng = np.random.default_rng(p.seed ^ read_index)
+        x = rng.integers(0, 2, size=n).astype(float)
+        energy = q.energy(x)
+        best_x, best_energy = x.copy(), energy
+        tabu_until = [0] * n
+        iteration = stall = 0
+        while stall < 50 * n:
+            iteration += 1
+            candidates = [energy + q.energy_delta(x, v) for v in range(n)]
+            aspiration = [c < best_energy - eps for c in candidates]
+            allowed = [tabu_until[v] < iteration or aspiration[v] for v in range(n)]
+            if not any(allowed):
+                all_tabu += 1
+                allowed = [True] * n
+            lowest = min(c for c, ok in zip(candidates, allowed) if ok)
+            v = next(v for v in range(n) if allowed[v] and candidates[v] <= lowest + eps)
+            trace.append((read_index, iteration, v, tabu_until[v] >= iteration, aspiration[v]))
+            x[v] = 1.0 - x[v]
+            energy = candidates[v]
+            tabu_until[v] = iteration + tenure
+            if energy < best_energy - eps:
+                best_x, best_energy, stall = x.copy(), energy, 0
+            else:
+                stall += 1
+        finals.append(tuple(int(b) for b in best_x))
+    return finals, trace, all_tabu
+
+
+class TestTabuMatchesSequentialWalk:
+    CASES = {
+        "planted": (planted_qubo, SamplerParams(num_reads=3, seed=4)),
+        "noisy-loop": (noisy_loop_qubo, SamplerParams(num_reads=3, seed=9)),
+        "dense": (dense_qubo, SamplerParams(num_reads=4, seed=2)),
+        "sparse-30": (lambda: sparse_qubo(30, 0.1, seed=1), SamplerParams(num_reads=2, seed=3)),
+        "all-tabu": (dense_qubo, SamplerParams(num_reads=4, seed=2, tabu_tenure=8)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bits_and_trace(self, name):
+        make, params = self.CASES[name]
+        q = make()
+        bits, expected_trace, all_tabu = sequential_tabu(q, params)
+        trace: list = []
+        result = sample_tabu(q, params, trace=trace)
+        assert [s.bits for s in result.samples] == bits
+        assert trace == expected_trace
+        if name == "all-tabu":
+            assert all_tabu > 0  # the fallback ran
+
+    def test_rounding_tie_takes_lowest_index(self):
+        # Flipping bit 0 or bit 1 up costs -0.3; bit 1's sum rounds 5.6e-17
+        # lower, which a plain argmin would take.
+        q = QuboMatrix(2)
+        q.add_coefficient(0, 0, -0.3)
+        q.add_coefficient(1, 1, -0.1)
+        q.add_coefficient(1, 1, -0.2)
+        assert q.coefficient(1, 1) < q.coefficient(0, 0)
+        params = SamplerParams(num_reads=2, seed=9)
+        # Read 2 starts from (0, 0), where both flips tie.
+        assert np.random.default_rng(params.seed ^ 2).integers(0, 2, size=2).tolist() == [0, 0]
+        trace: list = []
+        sample_tabu(q, params, trace=trace)
+        assert [var for read, iteration, var, *_ in trace if (read, iteration) == (2, 1)] == [0]
