@@ -22,7 +22,7 @@ from .errors import DimensionError, ModelError
 class QuboMatrix:
     """Dense upper-triangular coefficient matrix plus constant offset.
 
-    Mutable while being assembled (``add_coefficient`` accumulates), then
+    Mutable while being assembled (``add_terms`` accumulates), then
     treated as read-only: samplers only ever read it, so one instance can
     back many concurrent solver runs.  Dense storage is deliberate: the
     loop QUBOs benchmarked here reach 240 variables, a 460 KB matrix.
@@ -40,18 +40,35 @@ class QuboMatrix:
         self._coeff = np.zeros((n_vars, n_vars))
 
     def add_coefficient(self, i: int, j: int, value: float) -> "QuboMatrix":
-        """Accumulate ``value`` at the canonical position (min(i,j), max(i,j)).
+        """Accumulate one term; see :meth:`add_terms`."""
+        return self.add_terms([i], [j], [value])
 
+    def add_terms(self, rows, cols, values) -> "QuboMatrix":
+        """Accumulate ``values[t]`` at (min, max) of ``(rows[t], cols[t])``.
+
+        ``rows`` and ``cols`` share one shape, and ``values`` broadcasts to
+        it.  Terms add in order, duplicates one after another, so a bulk
+        call leaves the same bits as the scalar adds it replaces.
         Accumulation is additive so independently-built objective and
-        penalty terms compose by simple summation.
+        penalty terms compose by simple summation.  A non-finite sum raises
+        ``ModelError`` and leaves the matrix as it was.
         """
-        self._check_index(i)
-        self._check_index(j)
-        a, b = (i, j) if i <= j else (j, i)
-        total = float(self._coeff[a, b]) + value
-        if not math.isfinite(total):
-            raise ModelError(f"coefficient ({a},{b}) must be finite, got {total}")
-        self._coeff[a, b] = total
+        a, b = np.minimum(rows, cols), np.maximum(rows, cols)
+        if a.size and not (0 <= a.min() and b.max() < self.n_vars):
+            for i, j in zip(np.ravel(rows), np.ravel(cols)):
+                self._check_index(i)
+                self._check_index(j)
+        a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
+        before = self._coeff[a, b]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(self._coeff, (a, b), np.asarray(values, dtype=float))
+        after = self._coeff[a, b]
+        if not np.isfinite(after).all():
+            self._coeff[a, b] = before  # duplicates all gathered the same value
+            t = np.flatnonzero(~np.isfinite(after))[0]
+            raise ModelError(
+                f"coefficient ({a.flat[t]},{b.flat[t]}) must be finite, got {after.flat[t]}"
+            )
         return self
 
     def coefficient(self, i: int, j: int) -> float:
@@ -98,14 +115,14 @@ class QuboMatrix:
         return view
 
     def max_abs_coefficient(self) -> float:
-        return float(np.max(np.abs(self._coeff))) if self.n_vars else 0.0
+        return float(np.max(np.abs(self._coeff)))
 
     def symmetric_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, symmetric off-diagonal coupling) for sampler inner loops."""
-        diag = np.diag(self._coeff).copy()
-        sym = self._coeff + self._coeff.T
-        np.fill_diagonal(sym, 0.0)
-        return diag, sym
+        # Only the strict upper triangle is summed: doubling a diagonal
+        # entry above half the float range would overflow.
+        couplings = np.triu(self._coeff, 1)
+        return np.diag(self._coeff).copy(), couplings + couplings.T
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuboMatrix):
@@ -215,23 +232,21 @@ class SampleSet:
 
 def qubo_to_json(q: QuboMatrix) -> str:
     """Serialize as {"n_vars": N, "offset": c, "terms": [[i, j, value], ...]}."""
-    terms = []
-    for i in range(q.n_vars):
-        for j in range(i, q.n_vars):
-            v = q.coefficient(i, j)
-            if v != 0.0:
-                terms.append([i, j, v])
+    i, j = np.nonzero(q.upper)
+    terms = list(zip(i.tolist(), j.tolist(), q.upper[i, j].tolist()))
     return json.dumps({"n_vars": q.n_vars, "offset": q.offset, "terms": terms})
 
 
 def qubo_from_json(text: str) -> QuboMatrix:
     obj = json.loads(text)
     q = QuboMatrix(int(obj["n_vars"]), offset=float(obj.get("offset", 0.0)))
-    for i, j, v in obj["terms"]:
-        if i > j:
-            raise DimensionError(f"term ({i},{j}) is not upper-triangular")
-        q.add_coefficient(int(i), int(j), float(v))
-    return q
+    # Object dtype keeps each index as JSON gave it, for range checks and messages.
+    i, j, v = np.array(obj["terms"], dtype=object).reshape(-1, 3).T
+    lower = np.flatnonzero(i > j)
+    if lower.size:
+        t = lower[0]
+        raise DimensionError(f"term ({i[t]},{j[t]}) is not upper-triangular")
+    return q.add_terms(i, j, v)
 
 
 def _sample_records(samples: Sequence[Sample]) -> Iterator[tuple[str, float, int]]:

@@ -12,6 +12,8 @@ Key claims:
     - relabeling currencies permutes the optimal loop and keeps its profit
 """
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -25,6 +27,7 @@ from arbqubo import (
     ModelError,
     NotFeasible,
     ProblemShape,
+    RateMatrix,
     build_qubo,
     canonical_rotation,
     decode,
@@ -36,6 +39,7 @@ from arbqubo import (
     model_to_json,
     plant_cycle,
     profitability,
+    qubo_to_json,
     to_log_weights,
     var_index,
     var_position,
@@ -227,6 +231,37 @@ class TestBuildQubo:
         w = to_log_weights(generate_consistent(4, seed=0))
         with pytest.raises(ModelError):
             build_qubo(w, ProblemShape(3, 3), rate_only_weights())
+
+    # sha256 over upper.tobytes(), repr(offset) and qubo_to_json of three
+    # builds per shape, captured from the per-term assembly loops.  Bytes,
+    # not QuboMatrix.__eq__, which takes -0.0 for 0.0.
+    GOLDEN_DIGESTS = {
+        (2, 2): "1cb49c7299d76c759eeb6711f8f78f5a42dac281f8dccb2bba00bd4a75d7985b",
+        (3, 2): "5bcb9d206375f17f6866ae37a46ab586f5972146a1384289cdb086051fa69793",
+        (3, 4): "8110ac22acb1b99fe4a6d27fb3b8d5f58418324443d128279e95b7d2d5d368f5",
+        (4, 5): "1cee7f8782a502540a1e2575aaed731fcf13e2f3df1fabcd21a5c36fffd0cdb7",
+        (5, 4): "b08e03d25ecca1a57dcdeae443b696740c8527f43f8bb8603d2254ca2e16488e",
+        (30, 8): "a6861593601e9aacdd9593fb28a07067a78d2659d7e22569a12bfdbab6920b07",
+    }
+
+    @pytest.mark.parametrize("n, k", sorted(GOLDEN_DIGESTS))
+    def test_golden_bytes(self, n, k):
+        shape = ProblemShape(n, k)
+        rm = plant_cycle(generate_consistent(n, seed=7), [0, 1], 1.05)
+        w = to_log_weights(rm)
+        ones = to_log_weights(RateMatrix(labels=rm.labels, rate=np.ones((n, n))))
+        default = default_weights(w, shape)
+        builds = [
+            (w, default),
+            (w, dataclasses.replace(default, one_hot=0.0, consecutive=0.0)),
+            (ones, default_weights(ones, shape)),
+        ]
+        digest = hashlib.sha256()
+        for ww, weights in builds:
+            q = build_qubo(ww, shape, weights)
+            for part in (q.upper.tobytes(), repr(q.offset).encode(), qubo_to_json(q).encode()):
+                digest.update(part)
+        assert digest.hexdigest() == self.GOLDEN_DIGESTS[(n, k)]
 
 
 class TestProfitability:

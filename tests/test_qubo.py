@@ -7,6 +7,7 @@ implementation it checks.
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -45,40 +46,44 @@ def random_qubo(rng, n=10, density=0.6):
 
 
 class TestAddCoefficient:
+    @staticmethod
+    def add(q, i, j, value):
+        return q.add_coefficient(i, j, value)
+
     def test_canonicalizes_indices(self):
         q = QuboMatrix(3)
-        q.add_coefficient(2, 1, 3.0)
+        self.add(q, 2, 1, 3.0)
         assert q.coefficient(1, 2) == 3.0
         assert q.coefficient(2, 1) == 3.0
 
     def test_accumulates(self):
         q = QuboMatrix(3)
-        q.add_coefficient(1, 2, 3.0)
-        q.add_coefficient(2, 1, -1.0)
+        self.add(q, 1, 2, 3.0)
+        self.add(q, 2, 1, -1.0)
         assert q.coefficient(1, 2) == 2.0
 
     def test_diagonal_is_linear_term(self):
         q = QuboMatrix(1)
-        q.add_coefficient(0, 0, 5.0)
+        self.add(q, 0, 0, 5.0)
         assert q.energy([1]) == 5.0
 
     def test_out_of_range(self):
         q = QuboMatrix(3)
         with pytest.raises(IndexError):
-            q.add_coefficient(0, 3, 1.0)
+            self.add(q, 0, 3, 1.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, value):
         q = QuboMatrix(3)
         with pytest.raises(ModelError):
-            q.add_coefficient(0, 0, value)
+            self.add(q, 0, 0, value)
         assert q.coefficient(0, 0) == 0.0
 
     def test_overflowing_sum_rejected(self):
         q = QuboMatrix(2)
-        q.add_coefficient(0, 1, 1e308)
+        self.add(q, 0, 1, 1e308)
         with pytest.raises(ModelError):
-            q.add_coefficient(1, 0, 1e308)
+            self.add(q, 1, 0, 1e308)
         assert q.coefficient(0, 1) == 1e308
 
     @pytest.mark.parametrize("offset", [float("nan"), float("inf")])
@@ -91,9 +96,47 @@ class TestAddCoefficient:
         q = QuboMatrix(6)
         for _ in range(50):
             i, j = rng.integers(0, 6, size=2)
-            q.add_coefficient(int(i), int(j), float(rng.normal()))
+            self.add(q, int(i), int(j), float(rng.normal()))
         lower = np.tril(q.upper, k=-1)
         assert np.all(lower == 0.0)
+
+
+class TestAddTerms(TestAddCoefficient):
+    """Every ``TestAddCoefficient`` case, through a one-term bulk call."""
+
+    @staticmethod
+    def add(q, i, j, value):
+        return q.add_terms([i], [j], [value])
+
+    def test_matches_sequential_adds(self):
+        rng = np.random.default_rng(6)
+        rows, cols = rng.integers(0, 5, size=(2, 200))  # many duplicate cells
+        values = rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, size=200)
+        one_by_one = QuboMatrix(5)
+        for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+            one_by_one.add_coefficient(i, j, v)
+        bulk = QuboMatrix(5).add_terms(rows, cols, values)
+        assert bulk.upper.tobytes() == one_by_one.upper.tobytes()
+
+    def test_overflow_leaves_the_whole_call_unapplied(self):
+        q = QuboMatrix(3)
+        q.add_terms([0, 1], [1, 2], [1e308, 5.0])
+        before = q.upper.copy()
+        with pytest.raises(ModelError, match=r"\(0,1\)"):
+            q.add_terms([0, 2, 0, 1], [0, 1, 2, 0], [1.0, 2.0, 3.0, 1e308])
+        assert q.upper.tobytes() == before.tobytes()
+
+
+class TestSymmetricParts:
+    def test_large_diagonal_does_not_overflow(self):
+        q = QuboMatrix(3)  # the overflow QUBO of test_solvers.py
+        for i, j, v in [(0, 0, 1e308), (0, 1, 1e308), (1, 1, 1e308), (0, 2, -1e308), (1, 2, -1e308)]:
+            q.add_coefficient(i, j, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag, sym = q.symmetric_parts()
+        assert diag.tolist() == [1e308, 1e308, 0.0]
+        assert sym.tolist() == [[0.0, 1e308, -1e308], [1e308, 0.0, -1e308], [-1e308, -1e308, 0.0]]
 
 
 class TestEnergy:
