@@ -36,7 +36,7 @@ from .model import (
     profitability,
 )
 from .oracle import best_cycle_bruteforce, has_arbitrage_bellman_ford
-from .qubo import sampleset_to_json
+from .qubo import write_sampleset_json
 from .rates import (
     dump_rates_csv,
     generate_consistent,
@@ -186,7 +186,7 @@ def cmd_solve(args) -> int:
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(sampleset_to_json(result))
+            write_sampleset_json(result, fh)
     if args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as fh:
             fh.write(model_to_json(shape, weights, rates.labels))

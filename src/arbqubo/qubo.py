@@ -8,15 +8,27 @@ against hand-computed objective values instead of drifting by a constant.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
 from .errors import DimensionError, ModelError
+
+# Package-wide "same energy" tolerance.  Energies summed in different
+# orders differ in the last bits, and tabu's incremental energies drift by
+# ulps over long walks; differences below this are noise, and treating
+# them as progress would reset tabu's stall counter indefinitely.  It is
+# also the tie rule (:func:`_lowest_tied`): candidates within it of the
+# minimum tie, and the lowest index wins -- the lowest variable for a tabu
+# move, the lexicographically lowest bits for a state -- so exact ties on
+# arbitrage-free markets do not hang on the last bits of a sum.
+ENERGY_EPS = 1e-9
 
 
 class QuboMatrix:
@@ -157,22 +169,45 @@ def _state_bits(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> shift) & 1 for shift in range(n - 1, -1, -1))
 
 
+def _lowest_tied(values: np.ndarray) -> np.ndarray:
+    """Along the last axis, the lowest index within ``ENERGY_EPS`` of the minimum."""
+    return np.argmax(values <= values.min(axis=-1, keepdims=True) + ENERGY_EPS, axis=-1)
+
+
 class RankedStates(Sequence[Sample]):
     """Every state of an ``n_vars`` QUBO, ranked by ascending energy.
 
-    ``energies[i]`` is the energy of enumeration state ``i`` and ``order``
-    its stable argsort, so ties rank in lexicographic bit order.  The
-    ``Sample`` at rank ``r`` is built on access, with ``read_index`` r + 1:
-    the view costs 16 bytes per state instead of one object each.
+    ``energies[i]`` is the energy of enumeration state ``i``.  The ranking
+    is its stable argsort, so ties rank in lexicographic bit order; it is
+    computed on first use and cached, so reading only the best state (rank
+    0 or :meth:`best`) sorts nothing.  The ``Sample`` at rank ``r`` is
+    built on access, with ``read_index`` r + 1: the view costs 8 bytes per
+    state, 16 once ranked, instead of one object each.
     """
 
-    def __init__(self, energies: np.ndarray, order: np.ndarray, n_vars: int):
+    def __init__(self, energies: np.ndarray, n_vars: int):
         self.energies = energies
-        self.order = order
         self.n_vars = n_vars
+        self._order: np.ndarray | None = None
+
+    @property
+    def order(self) -> np.ndarray:
+        """State indices by ascending energy, ties in ascending index."""
+        if self._order is None:
+            self._order = np.argsort(self.energies, kind="stable")
+        return self._order
+
+    def best(self) -> Sample:
+        """The lowest state index among energies within ``ENERGY_EPS`` of
+        the minimum, at its rank, found by scans instead of a sort."""
+        state = int(_lowest_tied(self.energies))
+        energy = self.energies[state]
+        rank = np.count_nonzero(self.energies < energy)
+        rank += np.count_nonzero(self.energies[:state] == energy)
+        return self._sample(state, int(rank))
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.energies)
 
     def __getitem__(self, rank):
         if isinstance(rank, slice):
@@ -182,12 +217,12 @@ class RankedStates(Sequence[Sample]):
             rank += len(self)
         if not 0 <= rank < len(self):
             raise IndexError(f"rank {rank} out of range [0, {len(self)})")
-        state = int(self.order[rank])
-        return Sample(
-            bits=_state_bits(state, self.n_vars),
-            energy=float(self.energies[state]),
-            read_index=rank + 1,
-        )
+        if rank == 0 and self._order is None:
+            return self._sample(int(np.argmin(self.energies)), 0)
+        return self._sample(int(self.order[rank]), rank)
+
+    def _sample(self, state: int, rank: int) -> Sample:
+        return Sample(_state_bits(state, self.n_vars), float(self.energies[state]), rank + 1)
 
     def __iter__(self) -> Iterator[Sample]:
         ranked = zip(self.order.tolist(), self.energies[self.order].tolist())
@@ -219,9 +254,18 @@ class SampleSet:
     params: dict | None = None
 
     def best(self) -> Sample:
+        """The sample with the lowest bits among those whose energies lie
+        within ``ENERGY_EPS`` of the minimum; of equal bits, the first.
+
+        The tolerance makes the pick independent of the last bits of the
+        energy sums, which differ between evaluators.
+        """
         if isinstance(self.samples, RankedStates):
-            return self.samples[0]  # ranked by the same (energy, bits) key
-        return min(self.samples, key=lambda s: (s.energy, s.bits))
+            return self.samples.best()
+        lowest = min(s.energy for s in self.samples)
+        return min(
+            (s for s in self.samples if s.energy <= lowest + ENERGY_EPS), key=lambda s: s.bits
+        )
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -249,33 +293,60 @@ def qubo_from_json(text: str) -> QuboMatrix:
     return q.add_terms(i, j, v)
 
 
-def _sample_records(samples: Sequence[Sample]) -> Iterator[tuple[str, float, int]]:
-    """(bits string, energy, read index) of each sample, in order.
+# Records per write of the streamed sample-set JSON: bounds the Python
+# objects alive at once, so writing 2^n ranked states stays within a few MB.
+_JSON_BATCH = 1 << 12
+
+
+def _record_batches(samples: Sequence[Sample]) -> Iterator[list[dict]]:
+    """The JSON record of each sample, in order, ``_JSON_BATCH`` at a time.
 
     A :class:`RankedStates` is read straight from its arrays, without
     building a ``Sample`` per state.
     """
-    if isinstance(samples, RankedStates):
-        width = f"0{samples.n_vars}b"
-        ranked = zip(samples.order.tolist(), samples.energies[samples.order].tolist())
-        for rank, (state, energy) in enumerate(ranked, start=1):
-            yield format(state, width), energy, rank
-    else:
-        for smp in samples:
-            yield "".join(str(b) for b in smp.bits), smp.energy, smp.read_index
+    for first in range(0, len(samples), _JSON_BATCH):
+        if isinstance(samples, RankedStates):
+            width = f"0{samples.n_vars}b"
+            states = samples.order[first : first + _JSON_BATCH]
+            records = zip(
+                (format(state, width) for state in states.tolist()),
+                samples.energies[states].tolist(),
+                range(first + 1, first + 1 + len(states)),
+            )
+        else:
+            records = (
+                ("".join(str(b) for b in smp.bits), smp.energy, smp.read_index)
+                for smp in samples[first : first + _JSON_BATCH]
+            )
+        yield [
+            {"bits": bits, "energy": energy, "read_index": read_index}
+            for bits, energy, read_index in records
+        ]
+
+
+def write_sampleset_json(s: SampleSet, fh: TextIO) -> None:
+    """Write :func:`sampleset_to_json`'s text to the text file ``fh``.
+
+    The samples are encoded and written a bounded batch at a time, so the
+    whole text and one dict per sample never exist at once.  Each batch
+    goes through ``json.dumps`` as a list, so the bytes are those of one
+    ``json.dumps`` call over the whole set.
+    """
+    head = json.dumps(
+        {"solver": s.solver_name, "params": s.params, "timing": s.timing, "samples": []}
+    )
+    fh.write(head[: -len("]}")])
+    separator = ""
+    for batch in _record_batches(s.samples):
+        fh.write(separator + json.dumps(batch)[1:-1])
+        separator = ", "
+    fh.write("]}")
 
 
 def sampleset_to_json(s: SampleSet) -> str:
-    obj = {
-        "solver": s.solver_name,
-        "params": s.params,
-        "timing": s.timing,
-        "samples": [
-            {"bits": bits, "energy": energy, "read_index": read_index}
-            for bits, energy, read_index in _sample_records(s.samples)
-        ],
-    }
-    return json.dumps(obj)
+    buf = io.StringIO()
+    write_sampleset_json(s, buf)
+    return buf.getvalue()
 
 
 def sampleset_from_json(text: str) -> SampleSet:

@@ -6,10 +6,20 @@ samplers append one sample per read in production order and are fully
 deterministic for a fixed seed: read ``r`` draws every random number it
 will ever use from its own generator seeded with ``seed ^ r``, so reads
 are independent and the output does not depend on execution order.  The
-exact solver instead returns every state sorted by ascending energy (ties
+exact solver instead returns every state ranked by ascending energy (ties
 by lexicographic bitvector order) -- there is no meaningful production
 order for an enumeration, and downstream first-optimum analysis rejects
 its output by solver name.
+
+Enumeration splits the variables into two halves (meet in the middle,
+:func:`_energy_chunks`): the energies of each half and the couplings
+between them are tabulated once, and each block of 2^16 states is then
+one small matrix product plus two broadcast adds.  The exact set keeps
+only the 2^n energies, 8 bytes per state, and ranks them on first use;
+``best()`` and :func:`ground_state` scan them instead.  Among states
+within ``ENERGY_EPS`` of the minimum, the lowest index (lexicographic
+bits) is the optimum, so the pick does not depend on the order in which
+an energy's terms were summed.
 
 Both samplers vectorize across reads without changing what a read does.
 Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
@@ -35,7 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, ParamError, TooLarge
-from .qubo import QuboMatrix, RankedStates, Sample, SampleSet, _state_bits
+from .qubo import (
+    ENERGY_EPS,
+    QuboMatrix,
+    RankedStates,
+    Sample,
+    SampleSet,
+    _lowest_tied,
+    _state_bits,
+)
 
 EXACT_SOLVER_NAME = "exact"
 SA_SOLVER_NAME = "simulated_annealing"
@@ -46,14 +64,6 @@ _ENUM_CHUNK = 1 << 16
 # Tabu walks at most this many (read, variable) states at once, so each of
 # its arrays stays within a few MB however many reads are asked for.
 _TABU_BLOCK_ELEMENTS = 1 << 18
-
-# Package-wide "same energy" tolerance.  Tabu's incremental energies drift
-# by ulps over long walks; improvements below this are noise, and treating
-# them as progress would reset the stall counter indefinitely.  It is also
-# tabu's tie rule: moves within it of the best allowed move tie, and the
-# lowest variable index wins, so exact ties on arbitrage-free markets do
-# not hang on the last bits of a sum.
-ENERGY_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,8 +112,15 @@ class SamplerParams:
         return self.tabu_tenure if self.tabu_tenure is not None else math.ceil(n_vars / 4)
 
 
-def _chunk_energies(q: QuboMatrix, bits: np.ndarray) -> np.ndarray:
-    return ((bits @ q.upper) * bits).sum(axis=1) + q.offset
+def _quadratic_forms(bits: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``x @ upper @ x`` for each row ``x`` of ``bits``."""
+    return ((bits @ upper) * bits).sum(axis=1)
+
+
+def _bit_table(m: int) -> np.ndarray:
+    """Bits of all 2^m states of m variables, row i state i, high bit first."""
+    states = np.arange(1 << m, dtype=np.int64)[:, None]
+    return ((states >> np.arange(m - 1, -1, -1)) & 1).astype(float)
 
 
 def _enumerate_energies(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
@@ -121,13 +138,34 @@ def _enumerate_energies(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _energy_chunks(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
+    """Split-halves enumeration (meet in the middle).
+
+    State ``s`` is a high half ``s >> low`` over the first ``high``
+    variables and a low half ``s & (2^low - 1)`` over the last ``low``,
+    so its energy is ``E_hi[hi] + cross(hi, lo) + E_lo[lo]``.  The half
+    energies and ``cross = upper[:high, high:] @ B_lo.T`` are computed
+    once; a block of high states then costs one small GEMM, ``B_hi @
+    cross``, plus two broadcast adds: O(2^n * high) instead of the
+    O(2^n * n^2) of evaluating each state from scratch.
+    """
     n = q.n_vars
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)[None, :]
-    total = 1 << n
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)[:, None]
+    low = (n + 1) // 2
+    high = n - low
+    upper = q.upper
+    lo_bits, hi_bits = _bit_table(low), _bit_table(high)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_lo = _quadratic_forms(lo_bits, upper[high:, high:]) + q.offset
+        e_hi = _quadratic_forms(hi_bits, upper[:high, :high])
+        cross = upper[:high, high:] @ lo_bits.T
+    rows = max(1, _ENUM_CHUNK >> low)
+    for first in range(0, 1 << high, rows):
+        block = slice(first, first + rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            energies = _chunk_energies(q, ((idx >> shifts) & 1).astype(float))
+            energies = hi_bits[block] @ cross
+            energies += e_lo
+            energies += e_hi[block, None]
+        energies = energies.ravel()
+        start = first << low
         # min and max propagate NaN and show +-inf without a mask array.
         if not (math.isfinite(energies.min()) and math.isfinite(energies.max())):
             state = start + int(np.argmin(np.isfinite(energies)))
@@ -167,34 +205,39 @@ def _read_sample(bits: np.ndarray, energy: float, read_index: int) -> Sample:
 
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     """Lowest-energy state by chunked enumeration, without materializing
-    the full sample list.  Same guard and tie-break as :func:`solve_exact`.
+    the 2^n energies.  Same guard and tie rule as :meth:`SampleSet.best`
+    on :func:`solve_exact`: of the states within ``ENERGY_EPS`` of the
+    minimum, the lowest index (lexicographic bits) wins.
+
+    It enumerates twice, once for the minimum and once, up to the chunk
+    holding the winner, for the lowest tied state: a later, lower minimum
+    can drop a state that tied the earlier one.
     """
-    best_energy = math.inf
-    best_index = -1
+    lowest = min(energies.min() for _, energies in _enumerate_energies(q))
     for start, energies in _enumerate_energies(q):
-        pos = int(np.argmin(energies))
-        if energies[pos] < best_energy:
-            best_energy = float(energies[pos])
-            best_index = start + pos
-    return _state_bits(best_index, q.n_vars), best_energy
+        tied = np.flatnonzero(energies <= lowest + ENERGY_EPS)
+        if tied.size:  # the chunk holding the minimum always has one
+            break
+    return _state_bits(start + int(tied[0]), q.n_vars), float(energies[tied[0]])
 
 
 def solve_exact(q: QuboMatrix) -> SampleSet:
-    """Enumerate all 2^n states, sorted by ascending energy.
+    """Enumerate all 2^n states, ranked by ascending energy.
 
-    Ties break by lexicographic bitvector order.  The samples are a
-    :class:`~arbqubo.qubo.RankedStates` view over the energies and their
-    ranking, 16 bytes per state (about 1 GiB at the guard of 26 variables);
-    each Sample is built when it is read.  Use :func:`ground_state` when
-    only the optimum matters.
+    Ties rank in lexicographic bitvector order.  The samples are a
+    :class:`~arbqubo.qubo.RankedStates` view over the energies, 8 bytes per
+    state (512 MiB at the guard of 26 variables), plus 8 more for the
+    ranking, which is sorted only when a rank past the first, an iteration
+    or the JSON asks for it.  ``best()`` scans the energies.  Each Sample
+    is built when it is read.  Use :func:`ground_state` when only the
+    optimum matters.
     """
     t0 = time.perf_counter()
     chunks = _enumerate_energies(q)
     energies = np.empty(1 << q.n_vars)
     for start, chunk in chunks:
         energies[start : start + len(chunk)] = chunk
-    order = np.argsort(energies, kind="stable")
-    return _sample_set(RankedStates(energies, order, q.n_vars), t0, EXACT_SOLVER_NAME, None)
+    return _sample_set(RankedStates(energies, q.n_vars), t0, EXACT_SOLVER_NAME, None)
 
 
 def _level_runs(sym: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -275,7 +318,7 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
                 x += (delta < sweep_thresholds[run]) * sign
         final = np.empty((len(block), n))
         final[:, order] = states.T
-        energies = _chunk_energies(q, final)
+        energies = _quadratic_forms(final, q.upper) + q.offset
         for row, read_index in enumerate(block):
             samples.append(_read_sample(final[row], energies[row], read_index))
 
@@ -291,11 +334,6 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
             "beta_end": beta_end,
         },
     )
-
-
-def _lowest_tied(values: np.ndarray) -> np.ndarray:
-    """Per row, the lowest column within ``ENERGY_EPS`` of the row minimum."""
-    return np.argmax(values <= values.min(axis=1, keepdims=True) + ENERGY_EPS, axis=1)
 
 
 def _tabu_walks(

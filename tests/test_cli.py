@@ -127,7 +127,7 @@ class TestSolve:
         stored = sampleset_from_json(sample_file.read_text())
         assert stored.solver_name == "exact"
         assert len(stored) == 4096
-        assert f"best energy: {stored.samples[0].energy!r}" in printed
+        assert f"best energy: {stored.best().energy!r}" in printed
         with open(rates, "rb") as fh:
             w = to_log_weights(load_rates(fh, "csv"))
         shape = ProblemShape(3, 4)

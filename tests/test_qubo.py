@@ -273,8 +273,31 @@ class TestJsonInterchange:
             solver_name=ranked.solver_name,
             params=ranked.params,
         )
+        # The streamed text must be that of one json.dumps over the whole set.
+        whole = json.dumps(
+            {
+                "solver": ranked.solver_name,
+                "params": ranked.params,
+                "timing": ranked.timing,
+                "samples": [
+                    {
+                        "bits": "".join(map(str, s.bits)),
+                        "energy": s.energy,
+                        "read_index": s.read_index,
+                    }
+                    for s in listed.samples
+                ],
+            }
+        )
         # Digests, since pytest's diff of two 1 MB strings takes minutes.
         digests = [
-            hashlib.sha256(sampleset_to_json(s).encode()).hexdigest() for s in (ranked, listed)
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (sampleset_to_json(ranked), sampleset_to_json(listed), whole)
         ]
-        assert digests[0] == digests[1]
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_empty_sampleset_json(self):
+        s = SampleSet(samples=[], timing={}, solver_name="tabu")
+        assert sampleset_to_json(s) == json.dumps(
+            {"solver": "tabu", "params": None, "timing": {}, "samples": []}
+        )

@@ -1,15 +1,18 @@
 """Exact enumeration, simulated annealing, and tabu search.
 
-The exact solver is checked against a fresh term-by-term enumeration that
-shares no code with the chunked numpy path.  The stochastic samplers are
-checked for determinism, per-read independence, production ordering, and
-for actually reaching the known optimum on planted instances.  Golden
-values pin their exact output, and both samplers are checked against
-plain one-read-at-a-time references.
+The exact solver's split-halves energies are checked against a fresh
+term-by-term enumeration that shares no code with them.  The stochastic
+samplers are checked for determinism, per-read independence, production
+ordering, and for actually reaching the known optimum on planted
+instances.  Golden values pin their exact output, and both samplers are
+checked against plain one-read-at-a-time references.
 """
 
+import ast
 import hashlib
 import itertools
+import math
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +25,7 @@ from arbqubo import (
     QuboMatrix,
     RateMatrix,
     Sample,
+    SampleSet,
     SamplerParams,
     TooLarge,
     build_qubo,
@@ -193,6 +197,88 @@ class TestNonFiniteEnergies:
                 sampler(q, SamplerParams(num_reads=2, seed=1, sweeps_per_read=5))
 
 
+def term_by_term_energies(q: QuboMatrix) -> np.ndarray:
+    """Energies of all states in index order, adding one QUBO term at a
+    time across every state."""
+    n = q.n_vars
+    states = np.arange(1 << n)
+    bits = [((states >> (n - 1 - i)) & 1).astype(bool) for i in range(n)]
+    total = np.full(1 << n, q.offset)
+    for i in range(n):
+        for j in range(i, n):
+            total += q.coefficient(i, j) * (bits[i] & bits[j])
+    return total
+
+
+class TestSplitHalvesEnergies:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 20])
+    def test_matches_term_by_term_reference(self, n):
+        rng = np.random.default_rng(n)
+        q = QuboMatrix(n, offset=float(rng.normal()))
+        rows, cols = np.triu_indices(n)
+        q.add_terms(rows, cols, rng.normal(size=rows.size))
+        starts, chunks = zip(*solvers._enumerate_energies(q))
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) <= solvers._ENUM_CHUNK
+        assert list(starts) == np.cumsum([0] + sizes[:-1]).tolist()
+        energies = np.concatenate(chunks)
+        reference = term_by_term_energies(q)
+        assert energies.shape == reference.shape
+        assert np.all(np.abs(energies - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+        for state in rng.integers(0, 1 << n, size=20).tolist():
+            expected = q.energy(solvers._state_bits(state, n))
+            assert abs(energies[state] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_overflow_names_a_non_finite_state(self):
+        q = overflowing_qubo()
+        with pytest.raises(ModelError) as raised:
+            list(solvers._enumerate_energies(q))
+        bits = ast.literal_eval(re.search(r"state (\([01, ]+\))", str(raised.value)).group(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(q.energy(bits))
+
+
+def near_tie_qubo(low: float) -> QuboMatrix:
+    """Two variables: (0, 1) at -1.0, (1, 0) at ``low``, (1, 1) far above."""
+    q = QuboMatrix(2)
+    return q.add_terms([0, 1, 0], [0, 1, 1], [low, -1.0, 10.0])
+
+
+class TestTieRule:
+    @pytest.mark.parametrize(
+        "low, expected",
+        [
+            (np.nextafter(-1.0, -2.0), (0, 1)),  # lower by rounding: lowest bits win
+            (-1.0 - 2e-9, (1, 0)),  # lower by more than ENERGY_EPS
+        ],
+    )
+    def test_lowest_bits_win_within_eps(self, low, expected):
+        q = near_tie_qubo(low)
+        result = solve_exact(q)
+        assert result.samples[0].bits == (1, 0)  # the ranking itself is strict
+        assert ground_state(q)[0] == expected
+        best = result.best()
+        assert best.bits == expected
+        assert best == list(result.samples)[best.read_index - 1]
+        reads = SampleSet(list(reversed(list(result.samples))), {}, "tabu")
+        assert reads.best().bits == expected
+
+    def test_ground_state_rule_spans_chunks(self):
+        # State 2 is the first chunk's minimum and state 1 ties it.  The
+        # second chunk's minimum, state 2^16, lies more than ENERGY_EPS
+        # below state 1 but within it of state 2, so state 2 wins.
+        q = QuboMatrix(17)
+        q.add_terms(
+            [16, 15, 0, 15, 0, 0],
+            [16, 15, 0, 16, 15, 16],
+            [-1.0, -1.0 - 0.8e-9, -1.0 - 1.5e-9, 10.0, 10.0, 10.0],
+        )
+        bits, energy = ground_state(q)
+        assert bits == (0,) * 15 + (1, 0)
+        assert energy == -1.0 - 0.8e-9
+        assert solve_exact(q).best().bits == bits
+
+
 def tied_qubo():
     """6 variables, coefficients in {-1, 0, 1}: exact sums, many ties."""
     rng = np.random.default_rng(11)
@@ -228,6 +314,20 @@ class TestRankedStates:
     def test_best_is_minimum_of_materialized_list(self):
         result = solve_exact(tied_qubo())
         assert result.best() == min(list(result.samples), key=lambda s: (s.energy, s.bits))
+
+    def test_best_and_first_rank_sort_nothing(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("the ranking was built")
+
+        q = tied_qubo()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", no_sort)
+            result = solve_exact(q)
+            best, first = result.best(), result.samples[0]
+        ranked = list(result.samples)
+        assert best == min(ranked, key=lambda s: (s.energy, s.bits))  # exact sums
+        assert first == ranked[0]
+        assert result.samples.order is result.samples.order
 
     def test_sequence_access(self):
         q = tied_qubo()
