@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 from .errors import ParamError, WrongOrdering
-from .qubo import QuboMatrix, SampleSet
+from .qubo import ENERGY_EPS, QuboMatrix, SampleSet
 from .solvers import (
     EXACT_SOLVER_NAME,
     SA_SOLVER_NAME,
@@ -32,8 +32,6 @@ from .solvers import (
 #: Worst-case initialization overhead in microseconds (vendor-quoted range
 #: tops out around 20 ms).
 DEFAULT_OVERHEAD_US = 20000.0
-
-ENERGY_TOL = 1e-9
 
 #: The one table of sampler names, aliases included.  Rows are labelled
 #: with the ``solver_name`` of the SampleSet the sampler returns.
@@ -95,7 +93,7 @@ def lookup_solver(name: str) -> Callable[[QuboMatrix, SamplerParams], SampleSet]
 
 
 def first_optimum_read(
-    s: SampleSet, optimal_energy: float, tol: float = ENERGY_TOL
+    s: SampleSet, optimal_energy: float, tol: float = ENERGY_EPS
 ) -> int | None:
     """Smallest read index whose energy reaches the optimum within ``tol``.
 
@@ -169,7 +167,6 @@ def run_batches(
     q: QuboMatrix,
     params: SamplerParams,
     batches: int,
-    tol: float = ENERGY_TOL,
 ) -> BenchReport:
     """Run a sampler ``batches`` times and record time and reads-to-optimum.
 
@@ -197,7 +194,7 @@ def run_batches(
                 num_reads=params.num_reads,
                 batch=batch,
                 total_time_us=float(result.timing.get("wall_time_us", 0.0)),
-                first_optimum_read=first_optimum_read(result, optimal_energy, tol),
+                first_optimum_read=first_optimum_read(result, optimal_energy),
                 best_energy=best.energy,
                 optimal_energy=optimal_energy,
             )

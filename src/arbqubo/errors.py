@@ -49,7 +49,8 @@ class NotFeasible(ArbQuboError):
 # -- solvers / bench -----------------------------------------------------
 
 class TooLarge(ArbQuboError):
-    """The instance exceeds the brute-force enumeration guard."""
+    """The instance exceeds a size guard: brute-force enumeration's, or
+    the dense QUBO matrix's."""
 
 
 class ParamError(ArbQuboError):

@@ -18,7 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import DimensionError, ModelError
+from .errors import DimensionError, ModelError, TooLarge
 
 # Package-wide "same energy" tolerance.  Energies summed in different
 # orders differ in the last bits, and tabu's incremental energies drift by
@@ -30,21 +30,28 @@ from .errors import DimensionError, ModelError
 # arbitrage-free markets do not hang on the last bits of a sum.
 ENERGY_EPS = 1e-9
 
+# Dense storage costs 8 * n_vars^2 bytes, 128 MiB here.  ``n_vars`` comes
+# from a QUBO file or a rates file's N times the loop length, so a larger
+# one fails before numpy is asked for gigabytes.
+QUBO_MAX_VARS = 4096
+
 
 class QuboMatrix:
     """Dense upper-triangular coefficient matrix plus constant offset.
 
     Mutable while being assembled (``add_terms`` accumulates), then
     treated as read-only: samplers only ever read it, so one instance can
-    back many concurrent solver runs.  Dense storage is deliberate: the
-    loop QUBOs benchmarked here reach 240 variables, a 460 KB matrix.
-    Coefficients and the offset must be finite, since one NaN or inf
-    makes every energy meaningless.
+    back many concurrent solver runs.  Dense storage is deliberate (the
+    loop QUBOs benchmarked here reach 240 variables, a 460 KB matrix) and
+    capped at ``QUBO_MAX_VARS`` variables.  Coefficients and the offset
+    must be finite, since one NaN or inf makes every energy meaningless.
     """
 
     def __init__(self, n_vars: int, offset: float = 0.0):
         if n_vars < 1:
             raise DimensionError(f"need at least 1 variable, got {n_vars}")
+        if n_vars > QUBO_MAX_VARS:
+            raise TooLarge(f"{n_vars} variables exceeds the dense QUBO guard {QUBO_MAX_VARS}")
         self.n_vars = n_vars
         self.offset = float(offset)
         if not math.isfinite(self.offset):

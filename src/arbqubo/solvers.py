@@ -2,14 +2,12 @@
 annealing, and tabu search.
 
 All three return a :class:`~arbqubo.qubo.SampleSet`.  The two stochastic
-samplers append one sample per read in production order and are fully
-deterministic for a fixed seed: read ``r`` draws every random number it
-will ever use from its own generator seeded with ``seed ^ r``, so reads
-are independent and the output does not depend on execution order.  The
-exact solver instead returns every state ranked by ascending energy (ties
-by lexicographic bitvector order) -- there is no meaningful production
-order for an enumeration, and downstream first-optimum analysis rejects
-its output by solver name.
+samplers share one read driver, :func:`_sample_reads`, whose docstring is
+their read contract: one sample per read in production order, read ``r``
+seeded with ``seed ^ r``.  The exact solver instead returns every state
+ranked by ascending energy (ties by lexicographic bitvector order) --
+there is no meaningful production order for an enumeration, and
+downstream first-optimum analysis rejects its output by solver name.
 
 Enumeration splits the variables into two halves (meet in the middle,
 :func:`_energy_chunks`): the energies of each half and the couplings
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +59,12 @@ TABU_SOLVER_NAME = "tabu"
 
 EXACT_MAX_VARS = 26
 _ENUM_CHUNK = 1 << 16
+# The samplers walk their reads in blocks, so memory stays bounded however
+# many reads are asked for.  SA's largest array holds a block's
+# (sweep, variable, read) thresholds: at most this many, 64 MiB.
+_SA_BLOCK_ELEMENTS = 1 << 23
 # Tabu walks at most this many (read, variable) states at once, so each of
-# its arrays stays within a few MB however many reads are asked for.
+# its arrays stays within a few MB.
 _TABU_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -176,33 +178,6 @@ def _energy_chunks(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
         yield start, energies
 
 
-def _sample_set(
-    samples: Sequence[Sample], t0: float, solver_name: str, params: dict | None
-) -> SampleSet:
-    """Wrap a solver's samples with its wall time since ``t0``."""
-    return SampleSet(
-        samples=samples,
-        timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
-        solver_name=solver_name,
-        params=params,
-    )
-
-
-def _read_sample(bits: np.ndarray, energy: float, read_index: int) -> Sample:
-    """A sampler read's final state at its energy evaluated from scratch.
-
-    A non-finite energy means the coefficients overflow the float range,
-    and the read has no energy to rank: :class:`ModelError`.
-    """
-    state = tuple(int(b) for b in bits)
-    if not math.isfinite(energy):
-        raise ModelError(
-            f"energy of read {read_index} at state {state} is {energy}: "
-            "the coefficients overflow the float range"
-        )
-    return Sample(bits=state, energy=float(energy), read_index=read_index)
-
-
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     """Lowest-energy state by chunked enumeration, without materializing
     the 2^n energies.  Same guard and tie rule as :meth:`SampleSet.best`
@@ -237,7 +212,53 @@ def solve_exact(q: QuboMatrix) -> SampleSet:
     energies = np.empty(1 << q.n_vars)
     for start, chunk in chunks:
         energies[start : start + len(chunk)] = chunk
-    return _sample_set(RankedStates(energies, q.n_vars), t0, EXACT_SOLVER_NAME, None)
+    return SampleSet(
+        samples=RankedStates(energies, q.n_vars),
+        timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
+        solver_name=EXACT_SOLVER_NAME,
+    )
+
+
+def _sample_reads(
+    q: QuboMatrix, p: SamplerParams, t0: float, block_reads: int,
+    walk: Callable[[range, np.ndarray, list], np.ndarray], solver_name: str, params: dict,
+) -> SampleSet:
+    """Reads 1..``num_reads`` of a stochastic sampler, ``block_reads`` at a time.
+
+    Read ``r`` owns a generator seeded with ``seed ^ r``.  Its first draw
+    is the read's random start state, and the walk draws anything further
+    from it, so reads are independent and the output depends neither on
+    execution order nor on the blocks.  ``walk(reads, starts, rngs)`` maps
+    a block's ``(reads, n)`` start rows to its final rows.  Each final
+    state is appended in read order at its energy evaluated from scratch,
+    free of the drift a walk's incremental updates accumulate.  A
+    non-finite energy means the coefficients overflow the float range:
+    :class:`ModelError`.  The params record is ``num_reads``, ``seed``,
+    then ``params``.
+    """
+    samples: list[Sample] = []
+    # Overflow inside a walk surfaces in the energy check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, p.num_reads + 1, block_reads):
+            reads = range(first, min(first + block_reads, p.num_reads + 1))
+            rngs = [np.random.default_rng(p.seed ^ r) for r in reads]
+            starts = np.array([rng.integers(0, 2, size=q.n_vars) for rng in rngs], dtype=float)
+            final = walk(reads, starts, rngs)
+            energies = _quadratic_forms(final, q.upper) + q.offset
+            states = [tuple(row) for row in final.astype(np.int64).tolist()]
+            for read_index, state, energy in zip(reads, states, energies.tolist()):
+                if not math.isfinite(energy):
+                    raise ModelError(
+                        f"energy of read {read_index} at state {state} is {energy}: "
+                        "the coefficients overflow the float range"
+                    )
+                samples.append(Sample(bits=state, energy=energy, read_index=read_index))
+    return SampleSet(
+        samples=samples,
+        timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
+        solver_name=solver_name,
+        params={"num_reads": p.num_reads, "seed": p.seed, **params},
+    )
 
 
 def _level_runs(sym: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -261,26 +282,23 @@ def _level_runs(sym: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return np.argsort(level, kind="stable"), list(zip([0] + ends[:-1], ends))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     """Simulated annealing: independent restarts of single-flip Metropolis.
 
-    Each read starts from a uniformly random bitvector and performs
-    ``sweeps_per_read`` sequential passes over the variables, accepting a
-    flip with probability min(1, exp(-beta * dE)) while beta follows a
-    geometric ramp from ``beta_start`` to ``beta_end``.  The final state
-    of each read is appended in read order.
+    Each read performs ``sweeps_per_read`` sequential passes over the
+    variables from its start state, accepting a flip with probability
+    min(1, exp(-beta * dE)) while beta follows a geometric ramp from
+    ``beta_start`` to ``beta_end``.  Reads, seeds and energies follow
+    :func:`_sample_reads`; a read draws all its acceptance thresholds
+    right after its start state.
 
     A sweep updates each level of :func:`_level_runs` in one step, for
     all reads of a block at once; that is the sequential sweep, because
     Metropolis updates of uncoupled variables commute.
-
-    A read whose final energy is not finite raises :class:`ModelError`.
     """
     t0 = time.perf_counter()
     n = q.n_vars
     beta_start, beta_end = p.effective_betas(q)
-    betas = np.geomspace(beta_start, beta_end, p.sweeps_per_read)
     diag, sym = q.symmetric_parts()
     order, runs = _level_runs(sym)
     # Per level: its span, its coupling rows and its linear terms, with
@@ -290,25 +308,19 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
         for a, b in runs
     ]
 
-    samples: list[Sample] = []
-    # Reads run lock-step in blocks for vectorization; every read still
-    # consumes randomness only from its own seed ^ read_index stream.
-    reads = list(range(1, p.num_reads + 1))
-    block_size = max(1, min(p.num_reads, (1 << 23) // max(1, p.sweeps_per_read * n)))
-    for block_start in range(0, len(reads), block_size):
-        block = reads[block_start : block_start + block_size]
+    def walk(reads: range, starts: np.ndarray, rngs: list) -> np.ndarray:
         # Variables-major, in level order: states[i, row] is variable
-        # order[i] of read block[row].
-        states = np.empty((n, len(block)))
-        thresholds = np.empty((p.sweeps_per_read, n, len(block)))
-        for row, read_index in enumerate(block):
-            rng = np.random.default_rng(p.seed ^ read_index)
-            states[:, row] = rng.integers(0, 2, size=n)[order]
+        # order[i] of the block's read ``row``.
+        states = np.ascontiguousarray(starts[:, order].T)
+        thresholds = np.empty((p.sweeps_per_read, n, len(rngs)))
+        for row, rng in enumerate(rngs):
             thresholds[:, :, row] = rng.random((p.sweeps_per_read, n))[:, order]
         # u < exp(-beta * max(delta, 0)) rewritten as delta < -ln(u) / beta;
         # the two disagree only where u is within rounding of the bound.
         with np.errstate(divide="ignore"):
             np.log(thresholds, out=thresholds)
+        # In the driver's errstate: a denormal coefficient scale gives inf betas.
+        betas = np.geomspace(beta_start, beta_end, p.sweeps_per_read)
         thresholds /= -betas[:, None, None]
         for sweep_thresholds in thresholds:
             for run, couplings, linear in steps:
@@ -316,40 +328,25 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
                 sign = 1.0 - 2.0 * x
                 delta = sign * (linear + couplings @ states)
                 x += (delta < sweep_thresholds[run]) * sign
-        final = np.empty((len(block), n))
+        final = np.empty_like(starts)
         final[:, order] = states.T
-        energies = _quadratic_forms(final, q.upper) + q.offset
-        for row, read_index in enumerate(block):
-            samples.append(_read_sample(final[row], energies[row], read_index))
+        return final
 
-    return _sample_set(
-        samples,
-        t0,
-        SA_SOLVER_NAME,
-        {
-            "num_reads": p.num_reads,
-            "seed": p.seed,
-            "sweeps_per_read": p.sweeps_per_read,
-            "beta_start": beta_start,
-            "beta_end": beta_end,
-        },
-    )
+    block_reads = max(1, _SA_BLOCK_ELEMENTS // (p.sweeps_per_read * n))
+    params = dict(sweeps_per_read=p.sweeps_per_read, beta_start=beta_start, beta_end=beta_end)
+    return _sample_reads(q, p, t0, block_reads, walk, SA_SOLVER_NAME, params)
 
 
 def _tabu_walks(
-    q: QuboMatrix,
-    reads: list[int],
-    seed: int,
-    tenure: int,
-    max_stall: int,
-    moves: dict[int, list] | None,
-) -> dict[int, np.ndarray]:
-    """Best state of each read in ``reads``, all walked in lock step.
+    q: QuboMatrix, reads: range, starts: np.ndarray, tenure: int, max_stall: int,
+    moves: list | None,
+) -> np.ndarray:
+    """Best state of each of ``reads``, walked in lock step from ``starts``.
 
-    Row i of every array is the walk of one read, and a row is dropped
-    once its read stalls out.  No step mixes rows, so each read takes the
-    moves it would take alone.  ``moves``, when given, gets each read's
-    trace tuples under its read index.
+    Row i of every array is the walk of read ``reads[i]``, and a row is
+    dropped once its read stalls out.  No step mixes rows, so each read
+    takes the moves it would take alone.  The best rows come back in read
+    order.  ``moves``, when given, gets each move's trace tuple.
 
     A row keeps its state as signs ``1 - 2x`` and its local fields
     ``diag + sym @ x``, so the deltas of all n flips are ``sign * field``.
@@ -358,25 +355,19 @@ def _tabu_walks(
     """
     n = q.n_vars
     diag, sym = q.symmetric_parts()
-    x = np.empty((len(reads), n))
-    energy = np.empty(len(reads))
-    for row, read_index in enumerate(reads):
-        rng = np.random.default_rng(seed ^ read_index)
-        start = rng.integers(0, 2, size=n).astype(float)
-        x[row] = start
-        energy[row] = q.energy(start)
-    field = diag + (sym @ x[:, :, None])[:, :, 0]
-    sign = 1.0 - 2.0 * x
-    active = np.array(reads)
+    energy = _quadratic_forms(starts, q.upper) + q.offset
+    field = diag + (sym @ starts[:, :, None])[:, :, 0]
+    sign = 1.0 - 2.0 * starts
+    rows = np.arange(len(reads))
+    best = np.empty_like(starts)
     best_sign = sign.copy()
     # Aspiration and improvement both need a move below best - ENERGY_EPS.
     bar = energy - ENERGY_EPS
     tabu_until = np.zeros(sign.shape, dtype=np.int64)
     improved_at = np.zeros(len(reads), dtype=np.int64)
     row_starts = np.arange(0, sign.size, n)
-    best_of: dict[int, np.ndarray] = {}
     iteration = 0
-    while active.size:
+    while rows.size:
         iteration += 1
         candidate = sign * field
         candidate += energy[:, None]
@@ -390,13 +381,10 @@ def _tabu_walks(
         v = _lowest_tied(np.where(allowed, candidate, np.inf))
         flat = row_starts + v
         if moves is not None:
-            for read_index, var, was_tabu, aspired in zip(
-                active.tolist(),
-                v.tolist(),
-                (tabu_until.take(flat) >= iteration).tolist(),
-                aspiration.take(flat).tolist(),
-            ):
-                moves[read_index].append((read_index, iteration, var, was_tabu, aspired))
+            read = (rows + reads.start).tolist()
+            was_tabu = (tabu_until.take(flat) >= iteration).tolist()
+            aspired = aspiration.take(flat).tolist()
+            moves.extend(zip(read, [iteration] * len(read), v.tolist(), was_tabu, aspired))
         old = sign.take(flat)
         field += old[:, None] * sym[v]
         sign.put(flat, -old)
@@ -409,17 +397,16 @@ def _tabu_walks(
             improved_at[improved] = iteration
         if improved_at.min() <= iteration - max_stall:
             done = improved_at <= iteration - max_stall
-            best_of.update(zip(active[done].tolist(), (best_sign[done] < 0).astype(float)))
+            best[rows[done]] = best_sign[done] < 0
             keep = ~done
-            active, sign, field, energy, best_sign, bar, tabu_until, improved_at = (
+            rows, sign, field, energy, best_sign, bar, tabu_until, improved_at = (
                 a[keep]
-                for a in (active, sign, field, energy, best_sign, bar, tabu_until, improved_at)
+                for a in (rows, sign, field, energy, best_sign, bar, tabu_until, improved_at)
             )
-            row_starts = row_starts[: active.size]
-    return best_of
+            row_starts = row_starts[: rows.size]
+    return best
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def sample_tabu(
     q: QuboMatrix, p: SamplerParams, trace: list | None = None
 ) -> SampleSet:
@@ -431,14 +418,11 @@ def sample_tabu(
     neighbor, uphill if necessary; allowed moves within ``ENERGY_EPS`` of
     the best one tie, and the lowest variable index wins.  A read stops
     after 50*n iterations without improving its best (recorded as
-    ``max_iterations_per_read``).  The best state of each read is
-    appended in read order, at its energy evaluated from scratch; a
-    non-finite one raises :class:`ModelError`.
+    ``max_iterations_per_read``) and returns its best state.  Reads,
+    seeds and energies follow :func:`_sample_reads`.
 
     Reads walk in lock step (:func:`_tabu_walks`), in blocks that bound
-    the state arrays to ``_TABU_BLOCK_ELEMENTS`` entries.  Each read keeps
-    its local fields ``diag + sym @ x``, computed once and updated in O(n)
-    per flip.
+    the state arrays to ``_TABU_BLOCK_ELEMENTS`` entries.
 
     ``trace``, when given, collects (read_index, iteration, variable,
     was_tabu, aspiration) tuples for diagnostics, read by read.
@@ -447,29 +431,15 @@ def sample_tabu(
     n = q.n_vars
     tenure = p.effective_tenure(n)
     max_stall = 50 * n
+    moves = None if trace is None else []
 
-    samples: list[Sample] = []
-    block_size = max(1, _TABU_BLOCK_ELEMENTS // n)
-    for block_start in range(1, p.num_reads + 1, block_size):
-        block = list(range(block_start, min(block_start + block_size, p.num_reads + 1)))
-        moves = None if trace is None else {read_index: [] for read_index in block}
-        best_of = _tabu_walks(q, block, p.seed, tenure, max_stall, moves)
-        for read_index in block:
-            if moves is not None:
-                trace.extend(moves[read_index])
-            best = best_of[read_index]
-            # Re-evaluate from scratch so stored energies are free of the
-            # tiny drift the local-field updates accumulate.
-            samples.append(_read_sample(best, q.energy(best), read_index))
+    def walk(reads: range, starts: np.ndarray, _) -> np.ndarray:
+        return _tabu_walks(q, reads, starts, tenure, max_stall, moves)
 
-    return _sample_set(
-        samples,
-        t0,
-        TABU_SOLVER_NAME,
-        {
-            "num_reads": p.num_reads,
-            "seed": p.seed,
-            "tabu_tenure": tenure,
-            "max_iterations_per_read": max_stall,
-        },
-    )
+    params = dict(tabu_tenure=tenure, max_iterations_per_read=max_stall)
+    block_reads = max(1, _TABU_BLOCK_ELEMENTS // n)
+    result = _sample_reads(q, p, t0, block_reads, walk, TABU_SOLVER_NAME, params)
+    if trace is not None:
+        # Each tuple starts with (read, iteration): sorting gives read-by-read order.
+        trace.extend(sorted(moves))
+    return result

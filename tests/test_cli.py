@@ -18,6 +18,7 @@ from arbqubo import (
     solve_exact,
     to_log_weights,
 )
+from arbqubo import qubo
 from arbqubo.cli import main
 
 from conftest import fig1_csv_bytes
@@ -133,6 +134,12 @@ class TestSolve:
         shape = ProblemShape(3, 4)
         q = build_qubo(w, shape, default_weights(w, shape))
         assert stored.samples == list(solve_exact(q).samples)
+
+    def test_oversized_qubo_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qubo, "QUBO_MAX_VARS", 11)
+        rates = write_fig1(tmp_path)
+        assert main(["solve", "--rates", rates, "--loop-length", "4"]) == 1
+        assert "12 variables exceeds the dense QUBO guard 11" in capsys.readouterr().err
 
     def test_missing_rates_file_is_io_error(self):
         assert main(["solve", "--rates", "/no/such/file.csv"]) == 2

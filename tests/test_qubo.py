@@ -18,12 +18,14 @@ from arbqubo import (
     QuboMatrix,
     Sample,
     SampleSet,
+    TooLarge,
     qubo_from_json,
     qubo_to_json,
     sampleset_from_json,
     sampleset_to_json,
     solve_exact,
 )
+from arbqubo.qubo import QUBO_MAX_VARS
 
 
 def naive_energy(q: QuboMatrix, x) -> float:
@@ -43,6 +45,20 @@ def random_qubo(rng, n=10, density=0.6):
             if rng.random() < density:
                 q.add_coefficient(i, j, rng.normal())
     return q
+
+
+class TestSizeGuard:
+    def test_rejects_more_variables_than_the_guard(self):
+        with pytest.raises(TooLarge, match="dense QUBO guard"):
+            QuboMatrix(QUBO_MAX_VARS + 1)
+
+    def test_json_size_is_checked_before_allocating(self):
+        # 10^8 variables would be an 80 PB matrix.
+        with pytest.raises(TooLarge):
+            qubo_from_json('{"n_vars": 100000000, "terms": []}')
+
+    def test_guard_admits_its_own_size(self):
+        assert QuboMatrix(QUBO_MAX_VARS).n_vars == QUBO_MAX_VARS
 
 
 class TestAddCoefficient:

@@ -394,6 +394,16 @@ class TestSimulatedAnnealing:
         large = sample_sa(q, SamplerParams(num_reads=8, seed=2, sweeps_per_read=40))
         assert small.samples == large.samples[:3]
 
+    def test_read_blocks_do_not_change_output(self, monkeypatch):
+        q = planted_qubo(n=3, k=3)
+        params = SamplerParams(num_reads=8, seed=5, sweeps_per_read=30)
+        whole = sample_sa(q, params)
+        # Blocks of 3, 3 and 2 reads.
+        monkeypatch.setattr(solvers, "_SA_BLOCK_ELEMENTS", 3 * params.sweeps_per_read * q.n_vars)
+        blocked = sample_sa(q, params)
+        assert blocked.samples == whole.samples
+        assert blocked.params == whole.params
+
     def test_production_order(self):
         q = planted_qubo(n=3, k=3)
         result = sample_sa(q, SamplerParams(num_reads=12, seed=0, sweeps_per_read=30))
