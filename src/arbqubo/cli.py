@@ -15,6 +15,7 @@ import sys
 from dataclasses import fields, replace
 
 from .bench import (
+    DEFAULT_OVERHEAD_US,
     SOLVER_REGISTRY,
     BenchReport,
     QpuTimingModel,
@@ -35,7 +36,7 @@ from .model import (
     model_to_json,
     profitability,
 )
-from .oracle import best_cycle_bruteforce, has_arbitrage_bellman_ford
+from .oracle import PROFIT_EPS, best_cycle_bruteforce, has_arbitrage_bellman_ford
 from .qubo import write_sampleset_json
 from .rates import (
     dump_rates_csv,
@@ -44,9 +45,7 @@ from .rates import (
     plant_cycle,
     to_log_weights,
 )
-from .solvers import SamplerParams, solve_exact
-
-PROFIT_DISPLAY_TOL = 1e-9
+from .solvers import EXACT_SOLVER_NAME, SamplerParams, solve_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,9 +71,21 @@ def _read_rates(path: str):
         return load_rates(fh, fmt)
 
 
+def _problem(args):
+    """The rate table, problem shape and log weights that ``args`` name."""
+    rates = _read_rates(args.rates)
+    return rates, ProblemShape(rates.n, args.loop_length), to_log_weights(rates)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="arbqubo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # The market, loop shape and sampler seeding shared by solve and bench.
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--rates", required=True, help="rate table (.csv or .json)")
+    problem.add_argument("--loop-length", type=int, default=4)
+    problem.add_argument("--seed", type=int, default=SamplerParams.seed)
+    problem.add_argument("--sweeps", type=int, default=SamplerParams.sweeps_per_read)
 
     gen = sub.add_parser("gen", help="generate a synthetic rate table")
     gen.add_argument("--n", type=int, default=5, help="number of currencies")
@@ -94,15 +105,11 @@ def build_parser() -> _Parser:
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.set_defaults(func=cmd_gen)
 
-    solve = sub.add_parser("solve", help="build the QUBO and run one solver")
-    solve.add_argument("--rates", required=True, help="rate table (.csv or .json)")
-    solve.add_argument("--loop-length", type=int, default=4)
+    solve = sub.add_parser("solve", parents=[problem], help="build the QUBO and run one solver")
     solve.add_argument(
-        "--solver", choices=["exact", *SOLVER_REGISTRY], default="exact"
+        "--solver", choices=[EXACT_SOLVER_NAME, *SOLVER_REGISTRY], default=EXACT_SOLVER_NAME
     )
     solve.add_argument("--reads", type=int, default=500)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--sweeps", type=int, default=1000)
     for family in fields(HamiltonianWeights):
         solve.add_argument(
             "--weight-" + family.name.replace("_", "-"),
@@ -115,9 +122,7 @@ def build_parser() -> _Parser:
     )
     solve.set_defaults(func=cmd_solve)
 
-    bench = sub.add_parser("bench", help="batch solver comparison")
-    bench.add_argument("--rates", required=True)
-    bench.add_argument("--loop-length", type=int, default=4)
+    bench = sub.add_parser("bench", parents=[problem], help="batch solver comparison")
     bench.add_argument(
         "--solvers",
         default="sa,tabu",
@@ -125,8 +130,6 @@ def build_parser() -> _Parser:
     )
     bench.add_argument("--reads", type=_int_list, default=[50, 500])
     bench.add_argument("--batches", type=int, default=2)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--sweeps", type=int, default=1000)
     bench.add_argument("--out", required=True, help="report output path")
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
     bench.set_defaults(func=cmd_bench)
@@ -138,7 +141,7 @@ def build_parser() -> _Parser:
     timing.add_argument("--delay", type=float, default=20.0)
     timing.add_argument("--reads", type=_int_list, default=[1, 10, 100, 500])
     timing.add_argument("--include-overhead", action="store_true")
-    timing.add_argument("--overhead", type=float, default=20000.0)
+    timing.add_argument("--overhead", type=float, default=DEFAULT_OVERHEAD_US)
     timing.set_defaults(func=cmd_timing)
 
     oracle = sub.add_parser("oracle", help="direct cycle search, no QUBO")
@@ -170,13 +173,11 @@ def _resolve_weights(args, w, shape) -> HamiltonianWeights:
 
 
 def cmd_solve(args) -> int:
-    rates = _read_rates(args.rates)
-    shape = ProblemShape(rates.n, args.loop_length)
-    w = to_log_weights(rates)
+    rates, shape, w = _problem(args)
     weights = _resolve_weights(args, w, shape)
     q = build_qubo(w, shape, weights)
 
-    if args.solver == "exact":
+    if args.solver == EXACT_SOLVER_NAME:
         result = solve_exact(q)
     else:
         params = SamplerParams(
@@ -207,15 +208,13 @@ def cmd_solve(args) -> int:
     names = " -> ".join(rates.labels[c] for c in loop)
     print(f"best loop: {names}")
     print(f"profitability: {profit:.5f}")
-    if profit <= 1.0 + PROFIT_DISPLAY_TOL:
+    if profit <= 1.0 + PROFIT_EPS:
         print("no profitable loop")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    rates = _read_rates(args.rates)
-    shape = ProblemShape(rates.n, args.loop_length)
-    w = to_log_weights(rates)
+    _, shape, w = _problem(args)
     q = build_qubo(w, shape, default_weights(w, shape))
     solvers = [token.strip() for token in args.solvers.split(",")]
     for solver in solvers:  # reject unknown names before any batch runs

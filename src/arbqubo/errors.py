@@ -8,7 +8,8 @@ class ArbQuboError(Exception):
 # -- rate data -------------------------------------------------------------
 
 class IncompleteMatrix(ArbQuboError):
-    """A required directed currency pair is missing from the input."""
+    """A rate file is malformed, or a required directed currency pair is
+    missing from it."""
 
 
 class InvalidRate(ArbQuboError):
@@ -34,7 +35,8 @@ class InvalidStrength(ArbQuboError):
 # -- QUBO / model ------------------------------------------------------------
 
 class DimensionError(ArbQuboError):
-    """A vector or loop has the wrong length for the problem at hand."""
+    """A vector, loop, size or index has the wrong length, type or form
+    for the problem at hand."""
 
 
 class ModelError(ArbQuboError):
@@ -54,7 +56,7 @@ class TooLarge(ArbQuboError):
 
 
 class ParamError(ArbQuboError):
-    """Sampler parameters violate their invariants."""
+    """Sampler, search or timing parameters violate their invariants."""
 
 
 class WrongOrdering(ArbQuboError):

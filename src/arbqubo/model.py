@@ -30,8 +30,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionError, ModelError, NotFeasible
-from .qubo import QuboMatrix
-from .rates import LogWeightMatrix, RateMatrix
+from .qubo import QuboMatrix, _json_float, _json_int
+from .rates import LogWeightMatrix, RateMatrix, cycle_product
 
 MULTIPLE_IN_POSITION = "MultipleInPosition"
 EMPTY_POSITION = "EmptyPosition"
@@ -137,6 +137,12 @@ def var_position(flat: int, shape: ProblemShape) -> tuple[int, int]:
     return flat // shape.loop_length, flat % shape.loop_length + 1
 
 
+def _grid(values, shape: ProblemShape) -> np.ndarray:
+    """Per-variable ``values`` as an (N, K) grid: ``grid[c, p - 1]`` is the
+    value of variable :func:`var_index` ``(c, p)``."""
+    return np.asarray(values).reshape(shape.n_currencies, shape.loop_length)
+
+
 def default_weights(
     w: LogWeightMatrix, shape: ProblemShape, rate: float = 1.0
 ) -> HamiltonianWeights:
@@ -193,8 +199,7 @@ def build_qubo(
             f"{shape.n_currencies} currencies"
         )
     n = shape.n_currencies
-    # var[c, p - 1] == var_index(c, p, shape)
-    var = np.arange(shape.n_vars).reshape(n, shape.loop_length)
+    var = _grid(np.arange(shape.n_vars), shape)
     curr = np.arange(n)
     q = QuboMatrix(shape.n_vars)
 
@@ -234,27 +239,21 @@ def decode(x, shape: ProblemShape) -> DecodedLoop:
     position, and (only when both endpoints hold a single currency) a loop
     that does not close.
     """
-    bits = tuple(int(b) for b in x)
+    bits = list(map(int, x))
     if len(bits) != shape.n_vars:
         raise DimensionError(f"state length {len(bits)} != {shape.n_vars}")
-    positions: list[int | None] = []
-    violations: list[Violation] = []
-    per_position: list[list[int]] = []
-    for pos in range(1, shape.loop_length + 1):
-        present = [
-            c
-            for c in range(shape.n_currencies)
-            if bits[var_index(c, pos, shape)]
-        ]
-        per_position.append(present)
-        if len(present) == 1:
-            positions.append(present[0])
-        else:
-            positions.append(None)
-            kind = EMPTY_POSITION if not present else MULTIPLE_IN_POSITION
-            violations.append(Violation(kind, pos))
-    first, last = per_position[0], per_position[-1]
-    if len(first) == 1 and len(last) == 1 and first != last:
+    grid = _grid(bits, shape) != 0
+    counts = grid.sum(axis=0).tolist()
+    positions: list[int | None] = [
+        c if count == 1 else None for c, count in zip(grid.argmax(axis=0).tolist(), counts)
+    ]
+    violations = [
+        Violation(MULTIPLE_IN_POSITION if count else EMPTY_POSITION, pos)
+        for pos, count in enumerate(counts, start=1)
+        if count != 1
+    ]
+    first, last = positions[0], positions[-1]
+    if first is not None and last is not None and first != last:
         violations.append(Violation(OPEN_LOOP))
     return DecodedLoop(positions=positions, violations=violations)
 
@@ -264,14 +263,9 @@ def profitability(loop: DecodedLoop, rates: RateMatrix) -> float:
 
     Position K repeats position 1, so the closing conversion is already
     one of those transitions.  Values above 1 mean the loop turns a profit.
+    An infeasible loop has no price: :class:`NotFeasible`.
     """
-    if not loop.feasible:
-        raise NotFeasible(f"cannot price an infeasible loop: {loop.violations}")
-    seq = loop.loop
-    product = 1.0
-    for a, b in zip(seq, seq[1:]):
-        product *= rates.rate[a, b]
-    return float(product)
+    return cycle_product(rates, loop.loop[:-1])
 
 
 def canonical_rotation(loop) -> list[int]:
@@ -307,10 +301,16 @@ def model_to_json(
 
 
 def model_from_json(text: str) -> tuple[ProblemShape, HamiltonianWeights, list[str]]:
+    """Read :func:`model_to_json`'s text back; a field of the wrong JSON
+    type, or labels that are not a list of one per currency, is a typed error."""
     obj = json.loads(text)
-    shape = ProblemShape(int(obj["n_currencies"]), int(obj["loop_length"]))
+    n, k = (_json_int(obj[key], key) for key in ("n_currencies", "loop_length"))
+    shape = ProblemShape(n, k)
     wts = obj["weights"]
     weights = HamiltonianWeights(
-        **{f.name: float(wts[f.name]) for f in fields(HamiltonianWeights)}
+        **{f.name: _json_float(wts[f.name], f.name) for f in fields(HamiltonianWeights)}
     )
-    return shape, weights, [str(x) for x in obj["labels"]]
+    labels = obj["labels"]
+    if not (isinstance(labels, list) and len(labels) == n):
+        raise DimensionError(f"labels must be a list of {n}, got {labels!r}")
+    return shape, weights, [str(x) for x in labels]

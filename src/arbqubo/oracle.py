@@ -13,15 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import TooLarge
+from .errors import ParamError, TooLarge
 from .rates import LogWeightMatrix, RateMatrix
 
+# The package's one arbitrage tolerance: a loop is profitable when its
+# rate product exceeds 1 + PROFIT_EPS.  It is also Bellman-Ford's
+# relaxation slack on log weights, where ln(1 + eps) ~ eps, and keeps the
+# rounding noise of consistent (zero-sum) markets from registering as a
+# negative cycle.
 PROFIT_EPS = 1e-12
 MAX_ORACLE_CURRENCIES = 10
-
-# Relaxation slack: keeps rounding noise in consistent (zero-sum) markets
-# from registering as a negative cycle.
-_BF_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,12 @@ def best_cycle_bruteforce(rates: RateMatrix, max_len: int) -> OracleResult:
     if max_len > n + 1:
         raise TooLarge(f"max_len {max_len} exceeds the n+1 bound ({n + 1})")
     if max_len < 2:
-        raise ValueError(f"max_len must be at least 2, got {max_len}")
+        raise ParamError(f"max_len must be at least 2, got {max_len}")
 
     best_cycle: tuple[int, ...] | None = None
     best_profit = -1.0
+    # Loops come shortest first, then in lexicographic order, so that order
+    # is the tie rule: a tied later loop never replaces the one found first.
     for positions in range(2, max_len + 1):
         body_len = positions - 1
         for body in permutations(range(n), body_len):
@@ -56,15 +59,9 @@ def best_cycle_bruteforce(rates: RateMatrix, max_len: int) -> OracleResult:
             profit = 1.0
             for a, b in zip(loop, loop[1:]):
                 profit *= rates.rate[a, b]
-            if best_cycle is None:
-                best_cycle, best_profit = loop, profit
-                continue
             tol = PROFIT_EPS * max(1.0, abs(best_profit))
-            if profit > best_profit + tol:
+            if best_cycle is None or profit > best_profit + tol:
                 best_cycle, best_profit = loop, profit
-            elif abs(profit - best_profit) <= tol:
-                if (len(loop), loop) < (len(best_cycle), best_cycle):
-                    best_cycle = loop
     assert best_cycle is not None
     return OracleResult(
         best_cycle=tuple(int(c) for c in best_cycle),
@@ -90,13 +87,13 @@ def has_arbitrage_bellman_ford(w: LogWeightMatrix) -> bool:
                 if u == v:
                     continue
                 cand = du + w.w[u, v]
-                if cand < dist[v] - _BF_EPS:
+                if cand < dist[v] - PROFIT_EPS:
                     dist[v] = cand
                     changed = True
         if not changed:
             return False
     for u in range(n):
         for v in range(n):
-            if u != v and dist[u] + w.w[u, v] < dist[v] - _BF_EPS:
+            if u != v and dist[u] + w.w[u, v] < dist[v] - PROFIT_EPS:
                 return True
     return False

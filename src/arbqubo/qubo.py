@@ -231,11 +231,6 @@ class RankedStates(Sequence[Sample]):
     def _sample(self, state: int, rank: int) -> Sample:
         return Sample(_state_bits(state, self.n_vars), float(self.energies[state]), rank + 1)
 
-    def __iter__(self) -> Iterator[Sample]:
-        ranked = zip(self.order.tolist(), self.energies[self.order].tolist())
-        for rank, (state, energy) in enumerate(ranked, start=1):
-            yield Sample(_state_bits(state, self.n_vars), energy, rank)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
@@ -279,6 +274,27 @@ class SampleSet:
 
 
 # -- JSON interchange ----------------------------------------------------------
+#
+# The readers are strict: a size, index or value of the wrong JSON type is a
+# typed error, never truncated or parsed from a string.
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if JSON gave an integer; a bool or a float is a :class:`DimensionError`."""
+    if type(value) is not int:
+        raise DimensionError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(value, what: str) -> float:
+    """``value`` as a float if JSON gave a number that fits one; anything
+    else, a string or an integer past the float range, is a :class:`ModelError`."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the float range
+            pass
+    raise ModelError(f"{what} must be a number in the float range, got {value!r}")
 
 
 def qubo_to_json(q: QuboMatrix) -> str:
@@ -290,9 +306,17 @@ def qubo_to_json(q: QuboMatrix) -> str:
 
 def qubo_from_json(text: str) -> QuboMatrix:
     obj = json.loads(text)
-    q = QuboMatrix(int(obj["n_vars"]), offset=float(obj.get("offset", 0.0)))
+    n_vars = _json_int(obj["n_vars"], "n_vars")
+    q = QuboMatrix(n_vars, offset=_json_float(obj.get("offset", 0.0), "offset"))
+    terms = obj["terms"]
+    if not (isinstance(terms, list) and all(isinstance(t, list) and len(t) == 3 for t in terms)):
+        raise DimensionError("terms must be a list of [i, j, value] triples")
+    terms = [
+        [_json_int(i, "term index"), _json_int(j, "term index"), _json_float(v, "term value")]
+        for i, j, v in terms
+    ]
     # Object dtype keeps each index as JSON gave it, for range checks and messages.
-    i, j, v = np.array(obj["terms"], dtype=object).reshape(-1, 3).T
+    i, j, v = np.array(terms, dtype=object).reshape(-1, 3).T
     lower = np.flatnonzero(i > j)
     if lower.size:
         t = lower[0]
@@ -356,13 +380,19 @@ def sampleset_to_json(s: SampleSet) -> str:
     return buf.getvalue()
 
 
+def _record_bits(bits) -> tuple[int, ...]:
+    if type(bits) is not str or bits.strip("01"):
+        raise DimensionError(f"bits must be a string of 0s and 1s, got {bits!r}")
+    return tuple(map(int, bits))
+
+
 def sampleset_from_json(text: str) -> SampleSet:
     obj = json.loads(text)
     samples = [
         Sample(
-            bits=tuple(int(c) for c in rec["bits"]),
-            energy=float(rec["energy"]),
-            read_index=int(rec["read_index"]),
+            bits=_record_bits(rec["bits"]),
+            energy=_json_float(rec["energy"], "energy"),
+            read_index=_json_int(rec["read_index"], "read_index"),
         )
         for rec in obj["samples"]
     ]

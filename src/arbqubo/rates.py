@@ -94,8 +94,6 @@ class LogWeightMatrix:
 
     def max_abs(self) -> float:
         """Largest |w[i][j]| over off-diagonal pairs."""
-        if self.n == 0:
-            return 0.0
         off = self.w[~np.eye(self.n, dtype=bool)]
         return float(np.max(np.abs(off))) if off.size else 0.0
 
@@ -165,16 +163,23 @@ def load_rates(source: BinaryIO | bytes, fmt: str = "csv") -> RateMatrix:
     Every ordered pair (i, j), i != j, must be present; reverse edges are
     not auto-filled since arbitrage lives in asymmetric quotes.
 
-    JSON: ``{"labels": [...], "rates": [[...]]}`` row-major.
+    JSON: ``{"labels": [...], "rates": [[...]]}`` row-major, every rate a
+    JSON number.
+
+    Malformed input of either form raises a typed error.
     """
     if isinstance(source, bytes):
         data = source
     else:
         data = source.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IncompleteMatrix(f"rate file is not UTF-8: {exc}") from None
     if fmt == "csv":
-        return _rates_from_csv(data.decode("utf-8"))
+        return _rates_from_csv(text)
     if fmt == "json":
-        return _rates_from_json(data.decode("utf-8"))
+        return _rates_from_json(text)
     raise ValueError(f"unknown rate format: {fmt!r}")
 
 
@@ -231,12 +236,21 @@ def _rates_from_json(text: str) -> RateMatrix:
         raise IncompleteMatrix(f"invalid JSON rate file: {exc}") from None
     if not isinstance(obj, dict) or "labels" not in obj or "rates" not in obj:
         raise IncompleteMatrix('JSON rates need keys "labels" and "rates"')
-    labels = [str(x) for x in obj["labels"]]
-    rows = obj["rates"]
+    labels, rows = obj["labels"], obj["rates"]
+    if not isinstance(labels, list):
+        raise IncompleteMatrix(f'"labels" must be a list, got {labels!r}')
     n = len(labels)
-    if not isinstance(rows, list) or len(rows) != n or any(len(r) != n for r in rows):
+    square = isinstance(rows, list) and len(rows) == n
+    if not (square and all(isinstance(r, list) and len(r) == n for r in rows)):
         raise IncompleteMatrix(f"rates grid must be {n}x{n}")
-    return RateMatrix(labels=tuple(labels), rate=np.array(rows, dtype=float))
+    bad = [v for r in rows for v in r if type(v) not in (int, float)]
+    if bad:  # bools are ints to Python, and float() would parse strings
+        raise InvalidRate(f"rates must be numbers, got {bad[0]!r}")
+    try:
+        rate = np.array(rows, dtype=float)
+    except OverflowError:  # an integer literal past the float range
+        raise InvalidRate("a rate exceeds the float range") from None
+    return RateMatrix(labels=tuple(str(x) for x in labels), rate=rate)
 
 
 def dump_rates_csv(rates: RateMatrix) -> bytes:

@@ -105,10 +105,15 @@ class SamplerParams:
             raise ParamError(f"tabu_tenure must be >= 1, got {self.tabu_tenure}")
 
     def effective_betas(self, q: QuboMatrix) -> tuple[float, float]:
+        """The set betas, else the defaults; a coefficient scale so small
+        (subnormal) that a default beta overflows is a :class:`ModelError`."""
         if self.beta_start is not None and self.beta_end is not None:
             return self.beta_start, self.beta_end
         scale = q.max_abs_coefficient() or 1.0
-        return 0.1 / scale, 10.0 / scale
+        betas = 0.1 / scale, 10.0 / scale
+        if not math.isfinite(betas[1]):
+            raise ModelError(f"largest coefficient {scale!r} is too small to scale the betas")
+        return betas
 
     def effective_tenure(self, n_vars: int) -> int:
         return self.tabu_tenure if self.tabu_tenure is not None else math.ceil(n_vars / 4)
@@ -299,6 +304,7 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     t0 = time.perf_counter()
     n = q.n_vars
     beta_start, beta_end = p.effective_betas(q)
+    betas = np.geomspace(beta_start, beta_end, p.sweeps_per_read)
     diag, sym = q.symmetric_parts()
     order, runs = _level_runs(sym)
     # Per level: its span, its coupling rows and its linear terms, with
@@ -319,8 +325,6 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
         # the two disagree only where u is within rounding of the bound.
         with np.errstate(divide="ignore"):
             np.log(thresholds, out=thresholds)
-        # In the driver's errstate: a denormal coefficient scale gives inf betas.
-        betas = np.geomspace(beta_start, beta_end, p.sweeps_per_read)
         thresholds /= -betas[:, None, None]
         for sweep_thresholds in thresholds:
             for run, couplings, linear in steps:
@@ -338,8 +342,8 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
 
 
 def _tabu_walks(
-    q: QuboMatrix, reads: range, starts: np.ndarray, tenure: int, max_stall: int,
-    moves: list | None,
+    q: QuboMatrix, diag: np.ndarray, sym: np.ndarray, reads: range, starts: np.ndarray,
+    tenure: int, max_stall: int, moves: list | None,
 ) -> np.ndarray:
     """Best state of each of ``reads``, walked in lock step from ``starts``.
 
@@ -354,7 +358,6 @@ def _tabu_walks(
     O(n) per move instead of a matrix-vector product.
     """
     n = q.n_vars
-    diag, sym = q.symmetric_parts()
     energy = _quadratic_forms(starts, q.upper) + q.offset
     field = diag + (sym @ starts[:, :, None])[:, :, 0]
     sign = 1.0 - 2.0 * starts
@@ -432,9 +435,10 @@ def sample_tabu(
     tenure = p.effective_tenure(n)
     max_stall = 50 * n
     moves = None if trace is None else []
+    diag, sym = q.symmetric_parts()
 
     def walk(reads: range, starts: np.ndarray, _) -> np.ndarray:
-        return _tabu_walks(q, reads, starts, tenure, max_stall, moves)
+        return _tabu_walks(q, diag, sym, reads, starts, tenure, max_stall, moves)
 
     params = dict(tabu_tenure=tenure, max_iterations_per_read=max_stall)
     block_reads = max(1, _TABU_BLOCK_ELEMENTS // n)

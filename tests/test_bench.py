@@ -145,6 +145,11 @@ class TestAccessTimeModel:
         with pytest.raises(ParamError):
             QpuTimingModel(t_programming=-1.0, t_anneal=0, t_readout=0, t_delay=0)
 
+    def test_zero_reads_rejected(self):
+        model = QpuTimingModel(t_programming=1.0, t_anneal=1.0, t_readout=1.0, t_delay=1.0)
+        with pytest.raises(ParamError):
+            qpu_access_time(model, 0)
+
 
 class TestFirstOptimumRead:
     def test_finds_the_fourth_read(self):
@@ -208,6 +213,10 @@ class TestRunBatches:
         q = planted_qubo(n=3, k=3)
         with pytest.raises(ParamError):
             run_batches("quantum", q, SamplerParams(), batches=1)
+
+    def test_zero_batches_rejected(self):
+        with pytest.raises(ParamError):
+            run_batches("tabu", planted_qubo(n=3, k=3), SamplerParams(), batches=0)
 
     def test_sa_alias_rows_carry_canonical_label(self):
         q = planted_qubo(n=3, k=3)

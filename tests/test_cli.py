@@ -287,6 +287,43 @@ class TestOracleCommand:
         assert "arbitrage: no" in out
         assert "negative-cycle screen (bellman-ford): no" in out
 
+    def test_one_tolerance_for_both_detectors(self, tmp_path, capsys):
+        # A 5e-10 profit: above PROFIT_EPS, so both detectors must say yes.
+        rates = tmp_path / "thin.csv"
+        main(
+            [
+                "gen", "--n", "4", "--seed", "2", "--plant", "0,1,2",
+                "--strength", "1.0000000005", "--out", str(rates),
+            ]
+        )
+        capsys.readouterr()
+        assert main(["oracle", "--rates", str(rates)]) == 0
+        out = capsys.readouterr().out
+        assert "arbitrage: yes" in out
+        assert "negative-cycle screen (bellman-ford): yes" in out
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "name,payload,max_len,message",
+        [
+            ("fig1.csv", None, "1", "max_len must be at least 2"),
+            ("latin1.csv", b"from,to,rate\nA,B,0.5\nB,\xc4,2\n", "3", "not UTF-8"),
+            ("word.json", b'{"labels": ["A", "B"], "rates": [[1, "x"], [2, 1]]}', "3", "numbers"),
+            ("flat.json", b'{"labels": ["A", "B"], "rates": [1, 2]}', "3", "grid must be 2x2"),
+            ("letters.json", b'{"labels": "AB", "rates": [[1, 2], [0.5, 1]]}', "3", "a list"),
+        ],
+        ids=["max-len-1", "not-utf8", "non-numeric-rate", "rows-not-lists", "labels-string"],
+    )
+    def test_exits_1_with_error_line(self, tmp_path, capsys, name, payload, max_len, message):
+        path = tmp_path / name
+        path.write_bytes(fig1_csv_bytes() if payload is None else payload)
+        assert main(["oracle", "--rates", str(path), "--max-len", max_len]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):

@@ -97,6 +97,11 @@ class TestVarIndex:
         with pytest.raises(IndexError):
             var_index(0, 0, shape)
 
+    @pytest.mark.parametrize("flat", [-1, 12])
+    def test_position_of_out_of_range_index(self, flat):
+        with pytest.raises(IndexError):
+            var_position(flat, ProblemShape(3, 4))
+
 
 class TestProblemShape:
     def test_loop_length_cap(self):
@@ -106,6 +111,10 @@ class TestProblemShape:
     def test_needs_two_currencies(self):
         with pytest.raises(ModelError):
             ProblemShape(1, 2)
+
+    def test_needs_two_positions(self):
+        with pytest.raises(ModelError):
+            ProblemShape(3, 1)
 
     def test_degenerate_length_is_flagged_trivial(self):
         assert ProblemShape(3, 2).is_trivial
@@ -185,6 +194,30 @@ class TestEncodeDecode:
     def test_decode_wrong_length(self):
         with pytest.raises(DimensionError):
             decode((0, 1), ProblemShape(3, 4))
+
+    def test_infeasible_loop_has_no_loop(self):
+        with pytest.raises(NotFeasible):
+            decode((0,) * 12, ProblemShape(3, 4)).loop
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (3, 4)])
+    def test_every_state_matches_a_var_index_reading(self, n, k):
+        # Reference: each position's currencies read one var_index at a time.
+        shape = ProblemShape(n, k)
+        for bits in all_states(shape.n_vars):
+            present = [
+                [c for c in range(n) if bits[var_index(c, pos, shape)]]
+                for pos in range(1, k + 1)
+            ]
+            decoded = decode(bits, shape)
+            assert decoded.positions == [p[0] if len(p) == 1 else None for p in present]
+            kinds = [
+                (MULTIPLE_IN_POSITION if p else EMPTY_POSITION, pos)
+                for pos, p in enumerate(present, start=1)
+                if len(p) != 1
+            ]
+            if len(present[0]) == len(present[-1]) == 1 and present[0] != present[-1]:
+                kinds.append((OPEN_LOOP, None))
+            assert [(v.kind, v.position) for v in decoded.violations] == kinds
 
 
 class TestBuildQubo:
@@ -403,3 +436,25 @@ class TestModelJson:
         assert obj["n_currencies"] == 3
         assert obj["loop_length"] == 4
         assert set(obj["weights"]) == {"rate", "one_hot", "endpoint", "consecutive", "fill"}
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_currencies", 3.9),
+            ("loop_length", True),
+            ("weights", {"rate": "1.0"}),
+            ("labels", "XYZ"),
+            ("labels", ["X", "Y"]),
+        ],
+        ids=["float-size", "bool-size", "string-weight", "string-labels", "short-labels"],
+    )
+    def test_rejects_mistyped_fields(self, field, value):
+        text = model_to_json(ProblemShape(3, 4), rate_only_weights(), ["X", "Y", "Z"])
+        obj = json.loads(text)
+        if field == "weights":
+            obj["weights"].update(value)
+        else:
+            obj[field] = value
+        error = ModelError if field == "weights" else DimensionError
+        with pytest.raises(error):
+            model_from_json(json.dumps(obj))

@@ -11,6 +11,7 @@ import pytest
 
 from arbqubo import (
     LogWeightMatrix,
+    ParamError,
     RateMatrix,
     TooLarge,
     best_cycle_bruteforce,
@@ -59,6 +60,14 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             best_cycle_bruteforce(rm, max_len=6)
 
+    def test_currency_guard(self):
+        with pytest.raises(TooLarge):
+            best_cycle_bruteforce(generate_consistent(11, seed=0), max_len=3)
+
+    def test_max_len_below_two_rejected(self):
+        with pytest.raises(ParamError):
+            best_cycle_bruteforce(generate_consistent(4, seed=0), max_len=1)
+
 
 class TestBellmanFord:
     def test_consistent_market(self):
@@ -95,3 +104,16 @@ class TestBellmanFord:
             adjusted[vertex, vertex] = 0.0
             after = has_arbitrage_bellman_ford(LogWeightMatrix(w=adjusted))
             assert after == before
+
+
+class TestOneTolerance:
+    def test_detectors_agree_just_above_the_tolerance(self):
+        # A 5e-10 profit lies above PROFIT_EPS (1e-12): both detectors call it.
+        rm = plant_cycle(generate_consistent(4, seed=2), (0, 1, 2), strength=1.0000000005)
+        assert best_cycle_bruteforce(rm, max_len=4).has_arbitrage
+        assert has_arbitrage_bellman_ford(to_log_weights(rm))
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 60])
+    def test_screen_quiet_on_consistent_markets(self, n):
+        for seed in range(10):
+            assert not has_arbitrage_bellman_ford(to_log_weights(generate_consistent(n, seed)))

@@ -60,6 +60,10 @@ class TestSizeGuard:
     def test_guard_admits_its_own_size(self):
         assert QuboMatrix(QUBO_MAX_VARS).n_vars == QUBO_MAX_VARS
 
+    def test_needs_one_variable(self):
+        with pytest.raises(DimensionError):
+            QuboMatrix(0)
+
 
 class TestAddCoefficient:
     @staticmethod
@@ -256,6 +260,46 @@ class TestJsonInterchange:
     def test_rejects_non_finite_input(self, text):
         with pytest.raises(ModelError):
             qubo_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ('{"n_vars": 3.7, "terms": []}', DimensionError),
+            ('{"n_vars": true, "terms": []}', DimensionError),
+            ('{"n_vars": "3", "terms": []}', DimensionError),
+            ('{"n_vars": 3, "terms": [[1.5, 2, 1.0]]}', DimensionError),
+            ('{"n_vars": 3, "terms": [[true, 2, 1.0]]}', DimensionError),
+            ('{"n_vars": 3, "terms": [[0, 2]]}', DimensionError),
+            ('{"n_vars": 3, "terms": {"0": [0, 1, 1.0]}}', DimensionError),
+            ('{"n_vars": 3, "terms": [[0, 2, "2.5"]]}', ModelError),
+            ('{"n_vars": 3, "terms": [[0, 2, false]]}', ModelError),
+            ('{"n_vars": 3, "offset": "1", "terms": []}', ModelError),
+            ('{"n_vars": 3, "terms": [[0, 2, 1%s]]}' % ("0" * 400), ModelError),
+        ],
+        ids=[
+            "float-size", "bool-size", "string-size", "float-index", "bool-index",
+            "short-term", "terms-object", "string-value", "bool-value", "string-offset",
+            "huge-int-value",
+        ],
+    )
+    def test_rejects_mistyped_input(self, text, error):
+        with pytest.raises(error):
+            qubo_from_json(text)
+
+    @pytest.mark.parametrize(
+        "record,error",
+        [
+            ({"bits": "012", "energy": 1.0, "read_index": 1}, DimensionError),
+            ({"bits": [0, 1], "energy": 1.0, "read_index": 1}, DimensionError),
+            ({"bits": "01", "energy": 1.0, "read_index": 1.0}, DimensionError),
+            ({"bits": "01", "energy": "1.0", "read_index": 1}, ModelError),
+        ],
+        ids=["digit-2", "list-bits", "float-read-index", "string-energy"],
+    )
+    def test_sampleset_rejects_mistyped_records(self, record, error):
+        text = json.dumps({"solver": "tabu", "params": None, "timing": {}, "samples": [record]})
+        with pytest.raises(error):
+            sampleset_from_json(text)
 
     def test_sampleset_round_trip(self):
         s = SampleSet(

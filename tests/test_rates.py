@@ -19,6 +19,7 @@ from arbqubo import (
     InvalidRate,
     InvalidSize,
     InvalidStrength,
+    LogWeightMatrix,
     RateMatrix,
     cycle_product,
     dump_rates_csv,
@@ -201,3 +202,66 @@ class TestLogWeights:
                 loop = list(cyc) + [cyc[0]]
                 total = sum(w.w[a, b] for a, b in zip(loop, loop[1:]))
                 assert math.isclose(total, 0.0, abs_tol=1e-9)
+
+
+class TestRejectedInput:
+    """Malformed tables raise their typed error, never a raw exception."""
+
+    @pytest.mark.parametrize(
+        "payload,fmt,error",
+        [
+            (b"", "csv", IncompleteMatrix),
+            (b"src,dst,rate\nA,B,2\nB,A,0.5\n", "csv", IncompleteMatrix),
+            (b"from,to,rate\nA,B\nB,A,0.5\n", "csv", IncompleteMatrix),
+            (b"from,to,rate\nA,B,two\nB,A,0.5\n", "csv", InvalidRate),
+            (b"from,to,rate\nA,B,0\nB,A,0.5\n", "csv", InvalidRate),
+            (b"from,to,rate\nA,A,1\n", "csv", IncompleteMatrix),
+            (b"from,to,rate\nA,B,\xff\nB,A,0.5\n", "csv", IncompleteMatrix),
+            (b'{"labels": ["A", "B"]', "json", IncompleteMatrix),
+            (b'{"labels": ["A", "B"]}', "json", IncompleteMatrix),
+            (b'{"labels": ["A", "B"], "rates": [[1, 2]]}', "json", IncompleteMatrix),
+            (b'{"labels": ["A", "B"], "rates": [1, 2]}', "json", IncompleteMatrix),
+            (b'{"labels": "AB", "rates": [[1, 2], [0.5, 1]]}', "json", IncompleteMatrix),
+            (b'{"labels": ["A", "B"], "rates": [[1, "2"], [0.5, 1]]}', "json", InvalidRate),
+            (b'{"labels": ["A", "B"], "rates": [[1, true], [0.5, 1]]}', "json", InvalidRate),
+            (
+                b'{"labels": ["A", "B"], "rates": [[1, 1%s], [0.5, 1]]}' % (b"0" * 400),
+                "json",
+                InvalidRate,
+            ),
+        ],
+        ids=[
+            "csv-empty", "csv-header", "csv-short-row", "csv-not-a-number",
+            "csv-zero-rate", "csv-one-currency", "csv-not-utf8", "json-invalid",
+            "json-missing-key", "json-short-grid", "json-rows-not-lists",
+            "json-labels-string", "json-string-rate", "json-bool-rate", "json-huge-int-rate",
+        ],
+    )
+    def test_load_rates(self, payload, fmt, error):
+        with pytest.raises(error):
+            load_rates(payload, fmt)
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown rate format"):
+            load_rates(fig1_csv_bytes(), "xml")
+
+    def test_labels_must_match_the_matrix(self):
+        with pytest.raises(IncompleteMatrix):
+            RateMatrix(labels=("A", "B", "C"), rate=np.ones((2, 2)))
+
+    def test_labels_must_be_unique(self):
+        with pytest.raises(DuplicateEntry):
+            RateMatrix(labels=("A", "A"), rate=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("cycle", [(1,), (0, 5)], ids=["too-short", "out-of-range"])
+    def test_plant_cycle_guards(self, cycle):
+        with pytest.raises(InvalidCycle):
+            plant_cycle(generate_consistent(4, seed=1), cycle, strength=1.05)
+
+    def test_log_weights_must_be_square(self):
+        with pytest.raises(IncompleteMatrix):
+            LogWeightMatrix(w=np.zeros((2, 3)))
+
+    def test_log_weights_must_be_finite(self):
+        with pytest.raises(InvalidRate):
+            LogWeightMatrix(w=np.array([[0.0, np.inf], [0.0, 0.0]]))

@@ -375,8 +375,31 @@ class TestSamplerParams:
         with pytest.raises(ParamError):
             SamplerParams(tabu_tenure=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ParamError):
+            SamplerParams(seed=-1)
+
+    def test_bad_sweeps(self):
+        with pytest.raises(ParamError):
+            SamplerParams(sweeps_per_read=0)
+
 
 class TestSimulatedAnnealing:
+    def test_subnormal_scale_fails_fast(self):
+        # 10 / 1e-320 overflows, so the default betas would be inf.
+        q = QuboMatrix(3)
+        q.add_terms([0, 1], [1, 2], [1e-320, -1e-320])
+        params = SamplerParams(num_reads=2, seed=1, sweeps_per_read=5)
+        with pytest.raises(ModelError, match="too small"):
+            params.effective_betas(q)
+        with pytest.raises(ModelError, match="too small"):
+            sample_sa(q, params)
+        # Betas set by hand need no scale.
+        set_betas = SamplerParams(
+            num_reads=2, seed=1, sweeps_per_read=5, beta_start=1.0, beta_end=2.0
+        )
+        assert len(sample_sa(q, set_betas)) == 2
+
     def test_zero_problem_stays_at_zero_energy(self):
         q = QuboMatrix(6)
         result = sample_sa(q, SamplerParams(num_reads=10, seed=4, sweeps_per_read=20))
