@@ -55,7 +55,6 @@ from .qubo import (
     qubo_to_json,
     sampleset_from_json,
     sampleset_to_json,
-    write_sampleset_json,
 )
 from .rates import (
     LogWeightMatrix,

@@ -17,8 +17,17 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
-from .errors import ParamError, WrongOrdering
-from .qubo import ENERGY_EPS, QuboMatrix, SampleSet
+from .errors import DimensionError, ParamError, WrongOrdering
+from .qubo import (
+    ENERGY_EPS,
+    QuboMatrix,
+    SampleSet,
+    _json_float,
+    _json_int,
+    _json_loads,
+    _json_records,
+    _json_str,
+)
 from .solvers import (
     EXACT_SOLVER_NAME,
     SA_SOLVER_NAME,
@@ -40,8 +49,6 @@ SOLVER_REGISTRY: dict[str, Callable[[QuboMatrix, SamplerParams], SampleSet]] = {
     "sa": sample_sa,
     TABU_SOLVER_NAME: sample_tabu,
 }
-
-TIMING_LOG_COLUMNS = ["system", "num_reads", "batch", "qpu_access_time_us"]
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,32 @@ class BenchRow:
     optimal_energy: float
 
 
-def _optional_int(value) -> int | None:
-    return None if value is None or value == "" else int(value)
+def _optional_int(text: str) -> int | None:
+    return None if text == "" else int(text)
 
 
-#: Report columns are the BenchRow fields, in order, each with the parser
-#: for its annotated type that reads it back from CSV text or JSON values.
-_PARSERS = {"str": str, "int": int, "float": float, "int | None": _optional_int}
-_REPORT_SCHEMA = [(f.name, _PARSERS[f.type]) for f in fields(BenchRow)]
+def _json_optional_int(value, what: str) -> int | None:
+    return None if value is None else _json_int(value, what)
+
+
+#: Per annotated field type, the parser of a CSV cell's text and the
+#: checker of a JSON value: JSON values are never parsed from strings.
+_CSV_PARSERS = {"str": str, "int": int, "float": float, "int | None": _optional_int}
+_JSON_PARSERS = {
+    "str": _json_str,
+    "int": _json_int,
+    "float": _json_float,
+    "int | None": _json_optional_int,
+}
+
+
+def _schema(row_type, parsers) -> list[tuple[str, Callable]]:
+    """(column, parser) per field of the dataclass ``row_type``, in order."""
+    return [(f.name, parsers[f.type]) for f in fields(row_type)]
+
+
+#: Report columns are the BenchRow fields, in order.
+_REPORT_SCHEMA = _schema(BenchRow, _CSV_PARSERS)
 
 REPORT_COLUMNS = [name for name, _ in _REPORT_SCHEMA]
 
@@ -213,19 +238,35 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-def _csv_cell(value, parse) -> object:
+def _csv_cell(value) -> object:
     if value is None:
         return ""
-    return _format_number(value) if parse is float else value
+    return _format_number(value) if isinstance(value, float) else value
 
 
-def _read_csv(data: bytes, columns: list[str], what: str) -> list[list[str]]:
-    """Records of a CSV whose header must be ``columns``; blank rows skipped."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    header = next(reader, None)
+def _read_csv(data: bytes, schema: list[tuple[str, Callable]], what: str) -> list[dict]:
+    """The rows of a UTF-8 CSV whose header is the ``schema`` columns, each
+    cell read by its column's parser; blank rows are skipped.  Bad UTF-8 or
+    quoting, any other header, a row of another length or a cell its
+    parser rejects is a :class:`DimensionError`."""
+    try:
+        header, *records = list(csv.reader(io.StringIO(data.decode("utf-8")))) or [None]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DimensionError(f"malformed {what}: {exc}") from None
+    columns = [name for name, _ in schema]
     if header != columns:
-        raise ValueError(f"unexpected {what} header: {header}")
-    return [rec for rec in reader if rec]
+        raise DimensionError(f"expected {what} header {columns}, got {header}")
+    rows = []
+    for number, rec in enumerate(records, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(schema):
+            raise DimensionError(f"{what} row {number} has {len(rec)} cells, not {len(schema)}")
+        try:
+            rows.append({name: parse(cell) for (name, parse), cell in zip(schema, rec)})
+        except ValueError as exc:
+            raise DimensionError(f"{what} row {number}: {exc}") from None
+    return rows
 
 
 def emit_report(r: BenchReport, fmt: str = "csv") -> bytes:
@@ -235,8 +276,7 @@ def emit_report(r: BenchReport, fmt: str = "csv") -> bytes:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         writer.writerows(
-            [_csv_cell(getattr(row, name), parse) for name, parse in _REPORT_SCHEMA]
-            for row in r.rows
+            [_csv_cell(getattr(row, name)) for name in REPORT_COLUMNS] for row in r.rows
         )
         return out.getvalue().encode("utf-8")
     if fmt == "json":
@@ -246,19 +286,16 @@ def emit_report(r: BenchReport, fmt: str = "csv") -> bytes:
 
 
 def load_report(data: bytes, fmt: str = "csv") -> BenchReport:
+    """Read :func:`emit_report`'s bytes back; a malformed report is a typed error."""
     if fmt == "csv":
-        rows = _read_csv(data, REPORT_COLUMNS, "report")
-        records = [dict(zip(REPORT_COLUMNS, rec)) for rec in rows]
+        rows = _read_csv(data, _REPORT_SCHEMA, "report")
     elif fmt == "json":
-        records = json.loads(data.decode("utf-8"))
+        records = _json_records(_json_loads(data, "report"), REPORT_COLUMNS, "report row")
+        schema = _schema(BenchRow, _JSON_PARSERS)
+        rows = [{name: parse(rec[name], name) for name, parse in schema} for rec in records]
     else:
         raise ValueError(f"unknown report format: {fmt!r}")
-    return BenchReport(
-        rows=[
-            BenchRow(**{name: parse(rec[name]) for name, parse in _REPORT_SCHEMA})
-            for rec in records
-        ]
-    )
+    return BenchReport(rows=[BenchRow(**row) for row in rows])
 
 
 # -- external timing logs -------------------------------------------------------
@@ -274,15 +311,8 @@ class TimingLogRow:
 
 def load_timing_log(data: bytes) -> list[TimingLogRow]:
     """Parse an external access-time log: system, num_reads, batch, time."""
-    return [
-        TimingLogRow(
-            system=rec[0],
-            num_reads=int(rec[1]),
-            batch=int(rec[2]),
-            qpu_access_time_us=float(rec[3]),
-        )
-        for rec in _read_csv(data, TIMING_LOG_COLUMNS, "timing log")
-    ]
+    schema = _schema(TimingLogRow, _CSV_PARSERS)
+    return [TimingLogRow(**row) for row in _read_csv(data, schema, "timing log")]
 
 
 def timing_log_means(rows: list[TimingLogRow]) -> list[tuple[str, int, int, float]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import fields, replace
 
 from .bench import (
@@ -37,7 +38,7 @@ from .model import (
     profitability,
 )
 from .oracle import PROFIT_EPS, best_cycle_bruteforce, has_arbitrage_bellman_ford
-from .qubo import write_sampleset_json
+from .qubo import Sample, SampleSet, sampleset_to_json
 from .rates import (
     dump_rates_csv,
     generate_consistent,
@@ -45,7 +46,7 @@ from .rates import (
     plant_cycle,
     to_log_weights,
 )
-from .solvers import EXACT_SOLVER_NAME, SamplerParams, solve_exact
+from .solvers import EXACT_SOLVER_NAME, SamplerParams, ground_state
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,7 +179,10 @@ def cmd_solve(args) -> int:
     q = build_qubo(w, shape, weights)
 
     if args.solver == EXACT_SOLVER_NAME:
-        result = solve_exact(q)
+        t0 = time.perf_counter()
+        best = Sample(*ground_state(q), read_index=1)
+        wall_us = (time.perf_counter() - t0) * 1e6
+        result = SampleSet([best], {"wall_time_us": wall_us}, EXACT_SOLVER_NAME)
     else:
         params = SamplerParams(
             num_reads=args.reads, seed=args.seed, sweeps_per_read=args.sweeps
@@ -187,7 +191,7 @@ def cmd_solve(args) -> int:
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_sampleset_json(result, fh)
+            fh.write(sampleset_to_json(result))
     if args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as fh:
             fh.write(model_to_json(shape, weights, rates.labels))

@@ -30,7 +30,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionError, ModelError, NotFeasible
-from .qubo import QuboMatrix, _json_float, _json_int
+from .qubo import QuboMatrix, _json_float, _json_int, _json_loads, _json_object
 from .rates import LogWeightMatrix, RateMatrix, cycle_product
 
 MULTIPLE_IN_POSITION = "MultipleInPosition"
@@ -303,10 +303,11 @@ def model_to_json(
 def model_from_json(text: str) -> tuple[ProblemShape, HamiltonianWeights, list[str]]:
     """Read :func:`model_to_json`'s text back; a field of the wrong JSON
     type, or labels that are not a list of one per currency, is a typed error."""
-    obj = json.loads(text)
-    n, k = (_json_int(obj[key], key) for key in ("n_currencies", "loop_length"))
+    keys = ("n_currencies", "loop_length", "weights", "labels")
+    obj = _json_object(_json_loads(text, "model"), keys, "model")
+    n, k = (_json_int(obj[key], key) for key in keys[:2])
     shape = ProblemShape(n, k)
-    wts = obj["weights"]
+    wts = _json_object(obj["weights"], [f.name for f in fields(HamiltonianWeights)], "weights")
     weights = HamiltonianWeights(
         **{f.name: _json_float(wts[f.name], f.name) for f in fields(HamiltonianWeights)}
     )

@@ -8,13 +8,11 @@ against hand-computed objective values instead of drifting by a constant.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -279,6 +277,34 @@ class SampleSet:
 # typed error, never truncated or parsed from a string.
 
 
+def _json_loads(text: str | bytes, what: str):
+    """The value that JSON ``text`` (bytes: UTF-8) holds; text that is not
+    JSON is a :class:`DimensionError`."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DimensionError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _json_object(value, keys, what: str) -> dict:
+    """``value`` if it is a JSON object holding every key in ``keys``;
+    anything else is a :class:`DimensionError`."""
+    if not isinstance(value, dict):
+        raise DimensionError(f"{what} must be a JSON object, got {type(value).__name__}")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise DimensionError(f"{what} lacks key {missing[0]!r}")
+    return value
+
+
+def _json_records(values, keys, what: str) -> list[dict]:
+    """``values`` if it is a JSON list of objects that each hold every key
+    in ``keys``; anything else is a :class:`DimensionError`."""
+    if not isinstance(values, list):
+        raise DimensionError(f"{what}s must be a JSON list, got {type(values).__name__}")
+    return [_json_object(value, keys, what) for value in values]
+
+
 def _json_int(value, what: str) -> int:
     """``value`` if JSON gave an integer; a bool or a float is a :class:`DimensionError`."""
     if type(value) is not int:
@@ -297,6 +323,13 @@ def _json_float(value, what: str) -> float:
     raise ModelError(f"{what} must be a number in the float range, got {value!r}")
 
 
+def _json_str(value, what: str) -> str:
+    """``value`` if JSON gave a string; anything else is a :class:`DimensionError`."""
+    if type(value) is not str:
+        raise DimensionError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def qubo_to_json(q: QuboMatrix) -> str:
     """Serialize as {"n_vars": N, "offset": c, "terms": [[i, j, value], ...]}."""
     i, j = np.nonzero(q.upper)
@@ -305,7 +338,7 @@ def qubo_to_json(q: QuboMatrix) -> str:
 
 
 def qubo_from_json(text: str) -> QuboMatrix:
-    obj = json.loads(text)
+    obj = _json_object(_json_loads(text, "QUBO"), ("n_vars", "terms"), "QUBO")
     n_vars = _json_int(obj["n_vars"], "n_vars")
     q = QuboMatrix(n_vars, offset=_json_float(obj.get("offset", 0.0), "offset"))
     terms = obj["terms"]
@@ -324,8 +357,8 @@ def qubo_from_json(text: str) -> QuboMatrix:
     return q.add_terms(i, j, v)
 
 
-# Records per write of the streamed sample-set JSON: bounds the Python
-# objects alive at once, so writing 2^n ranked states stays within a few MB.
+# Records per ``json.dumps`` call of the sample-set JSON: bounds the Python
+# objects alive at once, so encoding 2^n ranked states builds no dict per state.
 _JSON_BATCH = 1 << 12
 
 
@@ -355,29 +388,18 @@ def _record_batches(samples: Sequence[Sample]) -> Iterator[list[dict]]:
         ]
 
 
-def write_sampleset_json(s: SampleSet, fh: TextIO) -> None:
-    """Write :func:`sampleset_to_json`'s text to the text file ``fh``.
+def sampleset_to_json(s: SampleSet) -> str:
+    """The set as one JSON object: solver, params, timing and samples.
 
-    The samples are encoded and written a bounded batch at a time, so the
-    whole text and one dict per sample never exist at once.  Each batch
-    goes through ``json.dumps`` as a list, so the bytes are those of one
-    ``json.dumps`` call over the whole set.
+    The samples are encoded a bounded batch at a time, each batch through
+    ``json.dumps`` as a list, so the text is that of one ``json.dumps``
+    call over the whole set.
     """
     head = json.dumps(
         {"solver": s.solver_name, "params": s.params, "timing": s.timing, "samples": []}
     )
-    fh.write(head[: -len("]}")])
-    separator = ""
-    for batch in _record_batches(s.samples):
-        fh.write(separator + json.dumps(batch)[1:-1])
-        separator = ", "
-    fh.write("]}")
-
-
-def sampleset_to_json(s: SampleSet) -> str:
-    buf = io.StringIO()
-    write_sampleset_json(s, buf)
-    return buf.getvalue()
+    records = ", ".join(json.dumps(batch)[1:-1] for batch in _record_batches(s.samples))
+    return head[: -len("]}")] + records + "]}"
 
 
 def _record_bits(bits) -> tuple[int, ...]:
@@ -387,18 +409,20 @@ def _record_bits(bits) -> tuple[int, ...]:
 
 
 def sampleset_from_json(text: str) -> SampleSet:
-    obj = json.loads(text)
+    obj = _json_object(_json_loads(text, "sample set"), ("solver", "samples"), "sample set")
+    records = _json_records(obj["samples"], ("bits", "energy", "read_index"), "sample record")
     samples = [
         Sample(
             bits=_record_bits(rec["bits"]),
             energy=_json_float(rec["energy"], "energy"),
             read_index=_json_int(rec["read_index"], "read_index"),
         )
-        for rec in obj["samples"]
+        for rec in records
     ]
+    timing = _json_object(obj.get("timing", {}), (), "timing")
     return SampleSet(
         samples=samples,
-        timing={k: float(v) for k, v in obj.get("timing", {}).items()},
-        solver_name=obj["solver"],
+        timing={k: _json_float(v, f"timing {k}") for k, v in timing.items()},
+        solver_name=_json_str(obj["solver"], "solver"),
         params=obj.get("params"),
     )

@@ -7,12 +7,16 @@ Published reference data used here:
     the two hardware generations at 50/500/2000/4000 reads.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from arbqubo import (
     BenchReport,
     BenchRow,
+    DimensionError,
+    ModelError,
     ParamError,
     ProblemShape,
     QpuTimingModel,
@@ -272,6 +276,65 @@ class TestReportSerialization:
         assert back == report
         assert emit_report(back, "json") == as_json
 
+    ROW = {
+        "solver": "tabu", "num_reads": 50, "batch": 1, "total_time_us": 2400.0,
+        "first_optimum_read": 1, "best_energy": -104.25, "optimal_energy": -104.25,
+    }
+
+    @pytest.mark.parametrize(
+        "data,error",
+        [
+            (b"nope", DimensionError),
+            (b"\xff", DimensionError),
+            (b'{"a": 1}', DimensionError),
+            (json.dumps([{"solver": "t"}]).encode(), DimensionError),
+            (json.dumps(["row"]).encode(), DimensionError),
+            (json.dumps([{**ROW, "num_reads": 3.7}]).encode(), DimensionError),
+            (json.dumps([{**ROW, "num_reads": "3"}]).encode(), DimensionError),
+            (json.dumps([{**ROW, "batch": True}]).encode(), DimensionError),
+            (json.dumps([{**ROW, "first_optimum_read": "1"}]).encode(), DimensionError),
+            (json.dumps([{**ROW, "solver": 5}]).encode(), DimensionError),
+            (json.dumps([{**ROW, "best_energy": "-1.5"}]).encode(), ModelError),
+        ],
+        ids=[
+            "not-json", "not-utf8", "object", "missing-keys", "string-row", "float-reads",
+            "string-reads", "bool-batch", "string-first-read", "number-solver",
+            "string-energy",
+        ],
+    )
+    def test_json_rejects_malformed_report(self, data, error):
+        with pytest.raises(error):
+            load_report(data, "json")
+
+    HEADER = b"solver,num_reads,batch,total_time_us,first_optimum_read,best_energy,optimal_energy\n"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"bad\n",
+            HEADER + b"tabu,x,1,2400,1,-1,-1\n",
+            HEADER + b"tabu,3.7,1,2400,1,-1,-1\n",
+            HEADER + b"tabu,50,1,2400,1,-1,abc\n",
+            HEADER + b"tabu,50,1,2400\n",
+            HEADER + b"tabu,50,1,2400,1,-1,-1,7\n",
+            HEADER + b"tabu,50,\xff,2400,1,-1,-1\n",
+        ],
+        ids=[
+            "empty", "wrong-header", "text-int", "float-int", "text-float", "short-row",
+            "long-row", "not-utf8",
+        ],
+    )
+    def test_csv_rejects_malformed_report(self, data):
+        with pytest.raises(DimensionError):
+            load_report(data, "csv")
+
+    def test_unknown_format_stays_value_error(self):
+        with pytest.raises(ValueError):
+            load_report(b"", "xml")
+        with pytest.raises(ValueError):
+            emit_report(BenchReport(), "xml")
+
 
 class TestTimingLogIngestion:
     def log_bytes(self):
@@ -304,3 +367,26 @@ class TestTimingLogIngestion:
         )
         emitted = emit_timing_means(load_timing_log(payload)).decode("utf-8")
         assert emitted.splitlines()[1:] == ["A,1,1,inf", "B,1,1,nan"]
+
+    HEADER = b"system,num_reads,batch,qpu_access_time_us\n"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"system,reads,batch,time\nA,1,1,2\n",
+            HEADER + b"A,x,1,2\n",
+            HEADER + b"A,1.5,1,2\n",
+            HEADER + b"A,1,1,abc\n",
+            HEADER + b"A,1,1\n",
+            HEADER + b"A,1,1,2,3\n",
+            HEADER + b"A," + b"1" * 200_000 + b",1,2\n",
+        ],
+        ids=[
+            "empty", "wrong-header", "text-reads", "float-reads", "text-time", "short-row",
+            "long-row", "huge-cell",
+        ],
+    )
+    def test_rejects_malformed_log(self, data):
+        with pytest.raises(DimensionError):
+            load_timing_log(data)

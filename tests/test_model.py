@@ -458,3 +458,19 @@ class TestModelJson:
         error = ModelError if field == "weights" else DimensionError
         with pytest.raises(error):
             model_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: "nope",
+            lambda obj: json.dumps([obj]),
+            lambda obj: json.dumps({**obj, "weights": {}}),
+            lambda obj: json.dumps({**obj, "weights": [1.0]}),
+            lambda obj: json.dumps({k: v for k, v in obj.items() if k != "labels"}),
+        ],
+        ids=["not-json", "list", "empty-weights", "list-weights", "no-labels"],
+    )
+    def test_rejects_malformed_document(self, edit):
+        text = model_to_json(ProblemShape(3, 4), rate_only_weights(), ["X", "Y", "Z"])
+        with pytest.raises(DimensionError):
+            model_from_json(edit(json.loads(text)))

@@ -275,11 +275,15 @@ class TestJsonInterchange:
             ('{"n_vars": 3, "terms": [[0, 2, false]]}', ModelError),
             ('{"n_vars": 3, "offset": "1", "terms": []}', ModelError),
             ('{"n_vars": 3, "terms": [[0, 2, 1%s]]}' % ("0" * 400), ModelError),
+            ("{}", DimensionError),
+            ("[1]", DimensionError),
+            ("nope", DimensionError),
+            ('{"n_vars": 3}', DimensionError),
         ],
         ids=[
             "float-size", "bool-size", "string-size", "float-index", "bool-index",
             "short-term", "terms-object", "string-value", "bool-value", "string-offset",
-            "huge-int-value",
+            "huge-int-value", "empty-object", "list", "not-json", "no-terms",
         ],
     )
     def test_rejects_mistyped_input(self, text, error):
@@ -298,6 +302,33 @@ class TestJsonInterchange:
     )
     def test_sampleset_rejects_mistyped_records(self, record, error):
         text = json.dumps({"solver": "tabu", "params": None, "timing": {}, "samples": [record]})
+        with pytest.raises(error):
+            sampleset_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("nope", DimensionError),
+            (b"\xff", DimensionError),
+            ("[]", DimensionError),
+            ('{"samples": [{}]}', DimensionError),
+            ('{"solver": "tabu", "samples": [{}]}', DimensionError),
+            ('{"solver": "tabu", "samples": [{"bits": "01", "energy": 1.0}]}', DimensionError),
+            ('{"solver": "tabu", "samples": ["{\\"bits\\": \\"01\\"}"]}', DimensionError),
+            ('{"solver": "tabu", "samples": 5}', DimensionError),
+            ('{"solver": "tabu", "samples": [], "timing": []}', DimensionError),
+            ('{"solver": 5, "samples": []}', DimensionError),
+            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": "1.5"}}', ModelError),
+            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": true}}', ModelError),
+            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": "abc"}}', ModelError),
+        ],
+        ids=[
+            "not-json", "not-utf8", "list", "no-solver", "empty-record", "no-read-index",
+            "string-record", "samples-number", "timing-list", "number-solver",
+            "string-timing", "bool-timing", "text-timing",
+        ],
+    )
+    def test_sampleset_rejects_malformed_document(self, text, error):
         with pytest.raises(error):
             sampleset_from_json(text)
 
