@@ -30,7 +30,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionError, ModelError, NotFeasible
-from .qubo import QuboMatrix, _json_float, _json_int, _json_loads, _json_object
+from .qubo import QuboMatrix, _json_float, _json_int, _json_loads, _json_object, _json_str
 from .rates import LogWeightMatrix, RateMatrix, cycle_product
 
 MULTIPLE_IN_POSITION = "MultipleInPosition"
@@ -314,4 +314,4 @@ def model_from_json(text: str) -> tuple[ProblemShape, HamiltonianWeights, list[s
     labels = obj["labels"]
     if not (isinstance(labels, list) and len(labels) == n):
         raise DimensionError(f"labels must be a list of {n}, got {labels!r}")
-    return shape, weights, [str(x) for x in labels]
+    return shape, weights, [_json_str(label, "label") for label in labels]

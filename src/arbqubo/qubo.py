@@ -273,8 +273,8 @@ class SampleSet:
 
 # -- JSON interchange ----------------------------------------------------------
 #
-# The readers are strict: a size, index or value of the wrong JSON type is a
-# typed error, never truncated or parsed from a string.
+# The readers are strict: a size, index or value of the wrong JSON type, or a
+# non-finite number, is a typed error, never truncated or parsed from a string.
 
 
 def _json_loads(text: str | bytes, what: str):
@@ -313,14 +313,16 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_float(value, what: str) -> float:
-    """``value`` as a float if JSON gave a number that fits one; anything
-    else, a string or an integer past the float range, is a :class:`ModelError`."""
+    """``value`` as a float if JSON gave a finite number that fits one;
+    anything else, a string, ``NaN``, ``Infinity`` or an integer past the
+    float range, is a :class:`ModelError`."""
     if type(value) in (int, float):
         try:
-            return float(value)
+            if math.isfinite(value):
+                return float(value)
         except OverflowError:  # an integer literal past the float range
             pass
-    raise ModelError(f"{what} must be a number in the float range, got {value!r}")
+    raise ModelError(f"{what} must be a finite number in the float range, got {value!r}")
 
 
 def _json_str(value, what: str) -> str:
@@ -419,10 +421,14 @@ def sampleset_from_json(text: str) -> SampleSet:
         )
         for rec in records
     ]
+    widths = {len(smp.bits) for smp in samples}
+    if len(widths) > 1:
+        raise DimensionError(f"samples have bit strings of widths {sorted(widths)}")
     timing = _json_object(obj.get("timing", {}), (), "timing")
+    params = obj.get("params")
     return SampleSet(
         samples=samples,
         timing={k: _json_float(v, f"timing {k}") for k, v in timing.items()},
         solver_name=_json_str(obj["solver"], "solver"),
-        params=obj.get("params"),
+        params=None if params is None else _json_object(params, (), "params"),
     )

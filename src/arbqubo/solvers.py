@@ -30,7 +30,8 @@ SA keeps its states variables-major and updates, in one step, each run of
 mutually uncoupled variables: the QUBO's sparsity pattern orders the
 variables into levels so that updating level after level is the
 sequential sweep (:func:`_level_runs`).  A dense QUBO degrades to one
-variable per step.
+variable per step.  SA draws its random thresholds a fixed-size tile of
+sweeps at a time, so its memory stays the same whatever the sweep count.
 """
 
 from __future__ import annotations
@@ -60,9 +61,16 @@ TABU_SOLVER_NAME = "tabu"
 EXACT_MAX_VARS = 26
 _ENUM_CHUNK = 1 << 16
 # The samplers walk their reads in blocks, so memory stays bounded however
-# many reads are asked for.  SA's largest array holds a block's
-# (sweep, variable, read) thresholds: at most this many, 64 MiB.
+# many reads are asked for.  A block's (sweep, variable, read) thresholds
+# would total at most this many, 64 MiB, but SA draws them one tile at a
+# time.  The rule caps the tiles a read costs, one generator call each: a
+# block of fewer reads gets longer tiles, so while one read's thresholds
+# fit, a read costs at most 64 tiles.
 _SA_BLOCK_ELEMENTS = 1 << 23
+# SA's one threshold buffer holds a tile of sweeps of its block: at most
+# this many elements, 2 MiB, or one sweep when a sweep is larger.  Neither
+# the tiles nor the blocks change the output.
+_SA_TILE_ELEMENTS = 1 << 18
 # Tabu walks at most this many (read, variable) states at once, so each of
 # its arrays stays within a few MB.
 _TABU_BLOCK_ELEMENTS = 1 << 18
@@ -294,12 +302,18 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     variables from its start state, accepting a flip with probability
     min(1, exp(-beta * dE)) while beta follows a geometric ramp from
     ``beta_start`` to ``beta_end``.  Reads, seeds and energies follow
-    :func:`_sample_reads`; a read draws all its acceptance thresholds
-    right after its start state.
+    :func:`_sample_reads`; after its start state, a read draws its
+    acceptance thresholds sweep by sweep, variable by variable, as one
+    unbroken stream.
 
     A sweep updates each level of :func:`_level_runs` in one step, for
     all reads of a block at once; that is the sequential sweep, because
-    Metropolis updates of uncoupled variables commute.
+    Metropolis updates of uncoupled variables commute.  The thresholds are
+    drawn a tile of sweeps at a time into one buffer of at most
+    ``_SA_TILE_ELEMENTS`` (2 MiB; one sweep of the block if that is
+    larger), and the tile's sweeps run before the next tile is drawn, so
+    memory does not grow with ``sweeps_per_read``.  Like the read blocks,
+    the tiles do not change the output.
     """
     t0 = time.perf_counter()
     n = q.n_vars
@@ -318,20 +332,36 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
         # Variables-major, in level order: states[i, row] is variable
         # order[i] of the block's read ``row``.
         states = np.ascontiguousarray(starts[:, order].T)
-        thresholds = np.empty((p.sweeps_per_read, n, len(rngs)))
-        for row, rng in enumerate(rngs):
-            thresholds[:, :, row] = rng.random((p.sweeps_per_read, n))[:, order]
-        # u < exp(-beta * max(delta, 0)) rewritten as delta < -ln(u) / beta;
-        # the two disagree only where u is within rounding of the bound.
-        with np.errstate(divide="ignore"):
-            np.log(thresholds, out=thresholds)
-        thresholds /= -betas[:, None, None]
-        for sweep_thresholds in thresholds:
-            for run, couplings, linear in steps:
-                x = states[run]
-                sign = 1.0 - 2.0 * x
-                delta = sign * (linear + couplings @ states)
-                x += (delta < sweep_thresholds[run]) * sign
+        block = len(rngs)
+        # Linear terms as full (level, read) arrays, so a step can build
+        # its deltas in place.
+        block_steps = [
+            (run, couplings, np.repeat(linear, block, axis=1)) for run, couplings, linear in steps
+        ]
+        tile_sweeps = min(p.sweeps_per_read, max(1, _SA_TILE_ELEMENTS // (n * block)))
+        # Read-major, so each read's draws land in place: tile[row, s, v]
+        # belongs to variable v in the tile's sweep s.
+        tile = np.empty((block, tile_sweeps, n))
+        for first in range(0, p.sweeps_per_read, tile_sweeps):
+            tile_betas = betas[first : first + tile_sweeps]
+            thresholds = tile[:, : len(tile_betas)]
+            for row, rng in enumerate(rngs):
+                rng.random(out=thresholds[row])
+            # u < exp(-beta * max(delta, 0)) rewritten as delta < -ln(u) / beta;
+            # the two disagree only where u is within rounding of the bound.
+            with np.errstate(divide="ignore"):
+                np.log(thresholds, out=thresholds)
+            thresholds /= -tile_betas[:, None]
+            for sweep in range(len(tile_betas)):
+                # One sweep's thresholds, variables-major in level order.
+                sweep_thresholds = thresholds[:, sweep].T[order]
+                for run, couplings, linear in block_steps:
+                    x = states[run]
+                    sign = 1.0 - 2.0 * x
+                    delta = couplings @ states
+                    delta += linear
+                    delta *= sign
+                    x += (delta < sweep_thresholds[run]) * sign
         final = np.empty_like(starts)
         final[:, order] = states.T
         return final

@@ -445,8 +445,13 @@ class TestModelJson:
             ("weights", {"rate": "1.0"}),
             ("labels", "XYZ"),
             ("labels", ["X", "Y"]),
+            ("labels", [1, None, [2]]),
+            ("weights", {"fill": math.nan}),
         ],
-        ids=["float-size", "bool-size", "string-weight", "string-labels", "short-labels"],
+        ids=[
+            "float-size", "bool-size", "string-weight", "string-labels", "short-labels",
+            "non-string-labels", "nan-weight",
+        ],
     )
     def test_rejects_mistyped_fields(self, field, value):
         text = model_to_json(ProblemShape(3, 4), rate_only_weights(), ["X", "Y", "Z"])

@@ -7,6 +7,7 @@ implementation it checks.
 
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -297,8 +298,14 @@ class TestJsonInterchange:
             ({"bits": [0, 1], "energy": 1.0, "read_index": 1}, DimensionError),
             ({"bits": "01", "energy": 1.0, "read_index": 1.0}, DimensionError),
             ({"bits": "01", "energy": "1.0", "read_index": 1}, ModelError),
+            ({"bits": "01", "energy": math.nan, "read_index": 1}, ModelError),
+            ({"bits": "01", "energy": math.inf, "read_index": 1}, ModelError),
+            ({"bits": "01", "energy": -math.inf, "read_index": 1}, ModelError),
         ],
-        ids=["digit-2", "list-bits", "float-read-index", "string-energy"],
+        ids=[
+            "digit-2", "list-bits", "float-read-index", "string-energy",
+            "nan-energy", "inf-energy", "minus-inf-energy",
+        ],
     )
     def test_sampleset_rejects_mistyped_records(self, record, error):
         text = json.dumps({"solver": "tabu", "params": None, "timing": {}, "samples": [record]})
@@ -321,16 +328,30 @@ class TestJsonInterchange:
             ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": "1.5"}}', ModelError),
             ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": true}}', ModelError),
             ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": "abc"}}', ModelError),
+            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": NaN}}', ModelError),
+            (
+                '{"solver": "tabu", "samples": [{"bits": "01", "energy": 1.0, "read_index": 1}, '
+                '{"bits": "0", "energy": 1.0, "read_index": 2}]}',
+                DimensionError,
+            ),
+            ('{"solver": "tabu", "samples": [], "params": 5}', DimensionError),
+            ('{"solver": "tabu", "samples": [], "params": [1]}', DimensionError),
         ],
         ids=[
             "not-json", "not-utf8", "list", "no-solver", "empty-record", "no-read-index",
             "string-record", "samples-number", "timing-list", "number-solver",
-            "string-timing", "bool-timing", "text-timing",
+            "string-timing", "bool-timing", "text-timing", "nan-timing", "mixed-widths",
+            "number-params", "list-params",
         ],
     )
     def test_sampleset_rejects_malformed_document(self, text, error):
         with pytest.raises(error):
             sampleset_from_json(text)
+
+    @pytest.mark.parametrize("params", [None, {}, {"seed": 1}])
+    def test_sampleset_params_object_or_null(self, params):
+        text = json.dumps({"solver": "tabu", "params": params, "samples": []})
+        assert sampleset_from_json(text).params == params
 
     def test_sampleset_round_trip(self):
         s = SampleSet(

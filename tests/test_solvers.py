@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -426,6 +427,36 @@ class TestSimulatedAnnealing:
         blocked = sample_sa(q, params)
         assert blocked.samples == whole.samples
         assert blocked.params == whole.params
+
+    @pytest.mark.parametrize(
+        "block_reads",
+        [
+            8,  # one block; tiles of 7, 7, 7, 7 and 2 sweeps
+            3,  # blocks of 3, 3 and 2 reads; tiles of 7 x 4 + 2, then 10 x 3
+        ],
+    )
+    def test_sweep_tiles_do_not_change_output(self, monkeypatch, block_reads):
+        q = planted_qubo(n=3, k=3)
+        params = SamplerParams(num_reads=8, seed=5, sweeps_per_read=30)
+        whole = sample_sa(q, params)
+        monkeypatch.setattr(solvers, "_SA_BLOCK_ELEMENTS", block_reads * 30 * q.n_vars)
+        # Seven sweeps of a full block.
+        monkeypatch.setattr(solvers, "_SA_TILE_ELEMENTS", 7 * q.n_vars * block_reads)
+        tiled = sample_sa(q, params)
+        assert tiled.samples == whole.samples
+        assert tiled.params == whole.params
+
+    def test_threshold_memory_does_not_grow_with_sweeps(self):
+        params = SamplerParams(num_reads=500, seed=1, sweeps_per_read=250)
+        q = planted_qubo()
+        tracemalloc.start()
+        try:
+            sample_sa(q, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # All 500 x 250 x 20 thresholds at once would take 20 MB.
+        assert peak < 4 * 2**20
 
     def test_production_order(self):
         q = planted_qubo(n=3, k=3)
