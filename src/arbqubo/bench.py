@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
-from .errors import DimensionError, ParamError, WrongOrdering
+from .errors import DimensionError, ModelError, ParamError, WrongOrdering
 from .qubo import (
     ENERGY_EPS,
     QuboMatrix,
@@ -136,9 +136,14 @@ def _json_optional_int(value, what: str) -> int | None:
     return None if value is None else _json_int(value, what)
 
 
+def _finite_float(text: str) -> float:
+    """A CSV cell's number, held to the JSON reader's finite check."""
+    return _json_float(float(text), "cell")
+
+
 #: Per annotated field type, the parser of a CSV cell's text and the
 #: checker of a JSON value: JSON values are never parsed from strings.
-_CSV_PARSERS = {"str": str, "int": int, "float": float, "int | None": _optional_int}
+_CSV_PARSERS = {"str": str, "int": int, "float": _finite_float, "int | None": _optional_int}
 _JSON_PARSERS = {
     "str": _json_str,
     "int": _json_int,
@@ -248,7 +253,8 @@ def _read_csv(data: bytes, schema: list[tuple[str, Callable]], what: str) -> lis
     """The rows of a UTF-8 CSV whose header is the ``schema`` columns, each
     cell read by its column's parser; blank rows are skipped.  Bad UTF-8 or
     quoting, any other header, a row of another length or a cell its
-    parser rejects is a :class:`DimensionError`."""
+    parser rejects is a :class:`DimensionError`; a number that is not
+    finite, a :class:`ModelError`."""
     try:
         header, *records = list(csv.reader(io.StringIO(data.decode("utf-8")))) or [None]
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -266,6 +272,8 @@ def _read_csv(data: bytes, schema: list[tuple[str, Callable]], what: str) -> lis
             rows.append({name: parse(cell) for (name, parse), cell in zip(schema, rec)})
         except ValueError as exc:
             raise DimensionError(f"{what} row {number}: {exc}") from None
+        except ModelError as exc:
+            raise ModelError(f"{what} row {number}: {exc}") from None
     return rows
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +23,9 @@ from .errors import DimensionError, ModelError, TooLarge
 # orders differ in the last bits, and tabu's incremental energies drift by
 # ulps over long walks; differences below this are noise, and treating
 # them as progress would reset tabu's stall counter indefinitely.  It is
-# also the tie rule (:func:`_lowest_tied`): candidates within it of the
-# minimum tie, and the lowest index wins -- the lowest variable for a tabu
-# move, the lexicographically lowest bits for a state -- so exact ties on
+# also the tie rule: candidates within it of the minimum tie, and the
+# lowest index wins -- the lowest variable for a tabu move
+# (:func:`_lowest_tied`), the lowest bits for a state -- so exact ties on
 # arbitrage-free markets do not hang on the last bits of a sum.
 ENERGY_EPS = 1e-9
 
@@ -182,37 +183,41 @@ def _lowest_tied(values: np.ndarray) -> np.ndarray:
 class RankedStates(Sequence[Sample]):
     """Every state of an ``n_vars`` QUBO, ranked by ascending energy.
 
-    ``energies[i]`` is the energy of enumeration state ``i``.  The ranking
-    is its stable argsort, so ties rank in lexicographic bit order; it is
-    computed on first use and cached, so reading only the best state (rank
-    0 or :meth:`best`) sorts nothing.  The ``Sample`` at rank ``r`` is
-    built on access, with ``read_index`` r + 1: the view costs 8 bytes per
-    state, 16 once ranked, instead of one object each.
+    The view starts from the exact solver's scan: ``head``, the sample at
+    rank 0, and ``best``, the one :meth:`best` answers.  Reading only
+    those, or ``len()``, costs no memory per state.  The ``energies``
+    array, state ``i``'s at index ``i`` (8 bytes per state), comes from
+    the ``energies`` callable when first read, and ``order``, its stable
+    argsort (8 more), when a rank past 0, iteration, ``==`` or the JSON
+    first needs it.  Ties rank in lexicographic bit order.  The
+    ``Sample`` at rank ``r`` is built on access, with ``read_index`` r + 1.
     """
 
-    def __init__(self, energies: np.ndarray, n_vars: int):
-        self.energies = energies
+    def __init__(
+        self, n_vars: int, head: Sample, best: Sample, energies: Callable[[], np.ndarray]
+    ):
         self.n_vars = n_vars
-        self._order: np.ndarray | None = None
+        self._head = head
+        self._best = best
+        self._compute_energies = energies
 
-    @property
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """Energy of each enumeration state, by state index."""
+        return self._compute_energies()
+
+    @cached_property
     def order(self) -> np.ndarray:
         """State indices by ascending energy, ties in ascending index."""
-        if self._order is None:
-            self._order = np.argsort(self.energies, kind="stable")
-        return self._order
+        return np.argsort(self.energies, kind="stable")
 
     def best(self) -> Sample:
         """The lowest state index among energies within ``ENERGY_EPS`` of
-        the minimum, at its rank, found by scans instead of a sort."""
-        state = int(_lowest_tied(self.energies))
-        energy = self.energies[state]
-        rank = np.count_nonzero(self.energies < energy)
-        rank += np.count_nonzero(self.energies[:state] == energy)
-        return self._sample(state, int(rank))
+        the minimum, at its rank."""
+        return self._best
 
     def __len__(self) -> int:
-        return len(self.energies)
+        return 1 << self.n_vars
 
     def __getitem__(self, rank):
         if isinstance(rank, slice):
@@ -222,11 +227,9 @@ class RankedStates(Sequence[Sample]):
             rank += len(self)
         if not 0 <= rank < len(self):
             raise IndexError(f"rank {rank} out of range [0, {len(self)})")
-        if rank == 0 and self._order is None:
-            return self._sample(int(np.argmin(self.energies)), 0)
-        return self._sample(int(self.order[rank]), rank)
-
-    def _sample(self, state: int, rank: int) -> Sample:
+        if rank == 0:
+            return self._head
+        state = int(self.order[rank])
         return Sample(_state_bits(state, self.n_vars), float(self.energies[state]), rank + 1)
 
     def __eq__(self, other) -> bool:

@@ -10,14 +10,14 @@ there is no meaningful production order for an enumeration, and
 downstream first-optimum analysis rejects its output by solver name.
 
 Enumeration splits the variables into two halves (meet in the middle,
-:func:`_energy_chunks`): the energies of each half and the couplings
+:func:`_energy_kernel`): the energies of each half and the couplings
 between them are tabulated once, and each block of 2^16 states is then
-one small matrix product plus two broadcast adds.  The exact set keeps
-only the 2^n energies, 8 bytes per state, and ranks them on first use;
-``best()`` and :func:`ground_state` scan them instead.  Among states
-within ``ENERGY_EPS`` of the minimum, the lowest index (lexicographic
-bits) is the optimum, so the pick does not depend on the order in which
-an energy's terms were summed.
+one small matrix product plus two broadcast adds.  One scan,
+:func:`_scan_optimum`, finds the optimum of :func:`ground_state` and of
+the exact set's ``best()`` a block at a time.  Among states within
+``ENERGY_EPS`` of the minimum, the lowest index (lexicographic bits) is
+the optimum, so the pick does not depend on the order in which an
+energy's terms were summed.
 
 Both samplers vectorize across reads without changing what a read does.
 Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
@@ -36,6 +36,8 @@ sweeps at a time, so its memory stays the same whatever the sweep count.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import time
 from collections.abc import Callable, Iterator
@@ -138,31 +140,21 @@ def _bit_table(m: int) -> np.ndarray:
     return ((states >> np.arange(m - 1, -1, -1)) & 1).astype(float)
 
 
-def _enumerate_energies(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
-    """Energies of all 2^n states as ``(start, energies)`` chunks in
-    ascending state-index order.
+def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
+    """The first state of each chunk of the 2^n states, ascending, and the
+    function computing the energies of the chunk that starts at one.
 
-    The size guard is checked on the call, before any chunk is asked for.
-    Finite coefficients can still sum past the float range; such a state
-    has no energy to rank, so the chunk holding it raises
-    :class:`ModelError`.
+    The size guard is checked on the call.  A state whose finite
+    coefficients sum past the float range has no energy to rank, so its
+    chunk raises :class:`ModelError`.  State ``s`` is a high half ``s >>
+    low`` over the first ``high`` variables and a low half over the last
+    ``low``, so its energy is ``E_hi[hi] + cross(hi, lo) + E_lo[lo]``.
+    The half energies and ``cross = upper[:high, high:] @ B_lo.T`` are
+    computed once; a chunk then costs one small GEMM, ``B_hi @ cross``,
+    plus two broadcast adds: O(2^n * high) instead of O(2^n * n^2).
     """
     if q.n_vars > EXACT_MAX_VARS:
         raise TooLarge(f"{q.n_vars} variables exceeds enumeration guard {EXACT_MAX_VARS}")
-    return _energy_chunks(q)
-
-
-def _energy_chunks(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
-    """Split-halves enumeration (meet in the middle).
-
-    State ``s`` is a high half ``s >> low`` over the first ``high``
-    variables and a low half ``s & (2^low - 1)`` over the last ``low``,
-    so its energy is ``E_hi[hi] + cross(hi, lo) + E_lo[lo]``.  The half
-    energies and ``cross = upper[:high, high:] @ B_lo.T`` are computed
-    once; a block of high states then costs one small GEMM, ``B_hi @
-    cross``, plus two broadcast adds: O(2^n * high) instead of the
-    O(2^n * n^2) of evaluating each state from scratch.
-    """
     n = q.n_vars
     low = (n + 1) // 2
     high = n - low
@@ -173,14 +165,14 @@ def _energy_chunks(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
         e_hi = _quadratic_forms(hi_bits, upper[:high, :high])
         cross = upper[:high, high:] @ lo_bits.T
     rows = max(1, _ENUM_CHUNK >> low)
-    for first in range(0, 1 << high, rows):
-        block = slice(first, first + rows)
+
+    def chunk(start: int) -> np.ndarray:
+        block = slice(start >> low, (start >> low) + rows)
         with np.errstate(over="ignore", invalid="ignore"):
             energies = hi_bits[block] @ cross
             energies += e_lo
             energies += e_hi[block, None]
         energies = energies.ravel()
-        start = first << low
         # min and max propagate NaN and show +-inf without a mask array.
         if not (math.isfinite(energies.min()) and math.isfinite(energies.max())):
             state = start + int(np.argmin(np.isfinite(energies)))
@@ -188,45 +180,90 @@ def _energy_chunks(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
                 f"energy of state {_state_bits(state, n)} is {energies[state - start]}: "
                 "the coefficients overflow the float range"
             )
-        yield start, energies
+        return energies
+
+    return range(0, 1 << n, rows << low), chunk
+
+
+def _enumerate_energies(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
+    """Energies of all 2^n states as ``(start, energies)`` chunks in
+    ascending state-index order; the guard is checked on the call."""
+    starts, chunk = _energy_kernel(q)
+    return ((start, chunk(start)) for start in starts)
+
+
+def _energy_array(q: QuboMatrix) -> np.ndarray:
+    """The energies of all 2^n states, state ``i`` at index ``i``."""
+    energies = np.empty(1 << q.n_vars)
+    for start, chunk in _enumerate_energies(q):
+        energies[start : start + len(chunk)] = chunk
+    return energies
+
+
+def _scan_optimum(q: QuboMatrix) -> tuple[Sample, Sample]:
+    """Rank 0, the first state at the minimum, and the optimum, the lowest
+    state within ``ENERGY_EPS`` of it, ranked after the lower energies.
+
+    A first pass keeps each chunk's minimum.  The first chunk within
+    ``ENERGY_EPS`` of the lowest, which holds the optimum, and the others
+    holding a state below it are then computed again: a later, lower
+    minimum can drop an earlier tie, so one pass would not do.  Each
+    chunk is dropped before the next is computed.
+    """
+    starts, chunk = _energy_kernel(q)
+
+    def lowest(start: int) -> tuple[float, int]:
+        energies = chunk(start)
+        pos = int(np.argmin(energies))
+        return energies[pos], start + pos
+
+    def first_within(start: int, bar: float) -> tuple[int, float, int]:
+        energies = chunk(start)
+        pos = int(np.argmax(energies <= bar))
+        return start + pos, energies[pos], np.count_nonzero(energies < energies[pos])
+
+    lows = [lowest(start) for start in starts]
+    head_energy, head = min(lows)
+    bar = head_energy + ENERGY_EPS
+    first = next(start for start, (low, _) in zip(starts, lows) if low <= bar)
+    best, energy, rank = first_within(first, bar)
+    rank += sum(
+        np.count_nonzero(chunk(start) < energy)
+        for start, (low, _) in zip(starts, lows)
+        if low < energy and start != first
+    )
+    n = q.n_vars
+    return (
+        Sample(_state_bits(head, n), float(head_energy), 1),
+        Sample(_state_bits(best, n), float(energy), int(rank) + 1),
+    )
 
 
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
-    """Lowest-energy state by chunked enumeration, without materializing
-    the 2^n energies.  Same guard and tie rule as :meth:`SampleSet.best`
-    on :func:`solve_exact`: of the states within ``ENERGY_EPS`` of the
-    minimum, the lowest index (lexicographic bits) wins.
-
-    It enumerates twice, once for the minimum and once, up to the chunk
-    holding the winner, for the lowest tied state: a later, lower minimum
-    can drop a state that tied the earlier one.
-    """
-    lowest = min(energies.min() for _, energies in _enumerate_energies(q))
-    for start, energies in _enumerate_energies(q):
-        tied = np.flatnonzero(energies <= lowest + ENERGY_EPS)
-        if tied.size:  # the chunk holding the minimum always has one
-            break
-    return _state_bits(start + int(tied[0]), q.n_vars), float(energies[tied[0]])
+    """Lowest-energy state: of the states within ``ENERGY_EPS`` of the
+    minimum, the lowest index (lexicographic bits).  It is the state of
+    ``solve_exact(q).best()``, from the same scan, which holds one chunk
+    of 2^16 energies (512 KiB) at a time."""
+    best = _scan_optimum(q)[1]
+    return best.bits, best.energy
 
 
 def solve_exact(q: QuboMatrix) -> SampleSet:
     """Enumerate all 2^n states, ranked by ascending energy.
 
-    Ties rank in lexicographic bitvector order.  The samples are a
-    :class:`~arbqubo.qubo.RankedStates` view over the energies, 8 bytes per
-    state (512 MiB at the guard of 26 variables), plus 8 more for the
-    ranking, which is sorted only when a rank past the first, an iteration
-    or the JSON asks for it.  ``best()`` scans the energies.  Each Sample
-    is built when it is read.  Use :func:`ground_state` when only the
-    optimum matters.
+    Ties rank in lexicographic bitvector order.  The timed enumeration is
+    the scan of :func:`ground_state`, so ``best()``, ``samples[0]`` and
+    ``len()`` cost no memory per state.  A rank past the first, an
+    iteration, ``==`` or the JSON enumerates again, untimed, into 8 bytes
+    per state (512 MiB at the guard of 26 variables), plus 8 for the
+    ranking.  Each Sample is built when it is read.
     """
     t0 = time.perf_counter()
-    chunks = _enumerate_energies(q)
-    energies = np.empty(1 << q.n_vars)
-    for start, chunk in chunks:
-        energies[start : start + len(chunk)] = chunk
+    head, best = _scan_optimum(q)
+    # The ranking is read later; a copy keeps it that of q as solved.
+    energies = functools.partial(_energy_array, copy.deepcopy(q))
     return SampleSet(
-        samples=RankedStates(energies, q.n_vars),
+        samples=RankedStates(q.n_vars, head, best, energies),
         timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
         solver_name=EXACT_SOLVER_NAME,
     )

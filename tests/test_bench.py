@@ -23,6 +23,7 @@ from arbqubo import (
     Sample,
     SampleSet,
     SamplerParams,
+    TimingLogRow,
     WrongOrdering,
     build_qubo,
     default_weights,
@@ -329,6 +330,16 @@ class TestReportSerialization:
         with pytest.raises(DimensionError):
             load_report(data, "csv")
 
+    @pytest.mark.parametrize("cell", [b"nan", b"inf", b"-inf", b"1e999"])
+    @pytest.mark.parametrize(
+        "column", [3, 5, 6], ids=["total_time_us", "best_energy", "optimal_energy"]
+    )
+    def test_csv_rejects_non_finite_number(self, cell, column):
+        cells = b"tabu,50,1,2400,1,-1,-1".split(b",")
+        cells[column] = cell
+        with pytest.raises(ModelError, match="report row 2"):
+            load_report(self.HEADER + b",".join(cells) + b"\n", "csv")
+
     def test_unknown_format_stays_value_error(self):
         with pytest.raises(ValueError):
             load_report(b"", "xml")
@@ -360,12 +371,8 @@ class TestTimingLogIngestion:
         assert "system4.1,50,1,23917\n" in emitted
 
     def test_non_finite_means_re_emit(self):
-        payload = (
-            b"system,num_reads,batch,qpu_access_time_us\n"
-            b"A,1,1,inf\n"
-            b"B,1,1,nan\n"
-        )
-        emitted = emit_timing_means(load_timing_log(payload)).decode("utf-8")
+        rows = [TimingLogRow("A", 1, 1, float("inf")), TimingLogRow("B", 1, 1, float("nan"))]
+        emitted = emit_timing_means(rows).decode("utf-8")
         assert emitted.splitlines()[1:] == ["A,1,1,inf", "B,1,1,nan"]
 
     HEADER = b"system,num_reads,batch,qpu_access_time_us\n"
@@ -390,3 +397,8 @@ class TestTimingLogIngestion:
     def test_rejects_malformed_log(self, data):
         with pytest.raises(DimensionError):
             load_timing_log(data)
+
+    @pytest.mark.parametrize("cell", [b"nan", b"inf", b"-inf", b"1e999"])
+    def test_rejects_non_finite_time(self, cell):
+        with pytest.raises(ModelError, match="timing log row 2"):
+            load_timing_log(self.HEADER + b"A,1,1," + cell + b"\n")

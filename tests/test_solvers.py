@@ -280,6 +280,109 @@ class TestTieRule:
         assert solve_exact(q).best().bits == bits
 
 
+def planted_minima(n: int, linear: dict[int, float]) -> QuboMatrix:
+    """``n`` variables whose low states each set one planted variable.
+
+    Planted variable ``v`` has linear term ``linear[v]``, every other one
+    10, and every coupling between planted ones is 10, so state
+    ``2^(n-1-v)`` has energy ``linear[v]`` and no state with two planted
+    bits is below 0.  A chunk holds 2^16 states: variable ``v < n - 16``
+    alone is in chunk ``2^(n-17-v)``, any later one in chunk 0.
+    """
+    q = QuboMatrix(n)
+    q.add_terms(range(n), range(n), [linear.get(v, 10.0) for v in range(n)])
+    pairs = list(itertools.combinations(sorted(linear), 2))
+    return q.add_terms([a for a, _ in pairs], [b for _, b in pairs], 10.0)
+
+
+def materialized_ranking(q: QuboMatrix) -> tuple[Sample, Sample, list[int]]:
+    """Rank 0 and the optimum from all 2^n energies at once, a stable
+    argsort plus the tie rule, and the chunks a scan must compute again:
+    the first within ``ENERGY_EPS`` of the minimum, which holds the
+    optimum, then every other one holding a state ranked above it."""
+    energies = np.concatenate([chunk for _, chunk in solvers._enumerate_energies(q)])
+    bar = energies.min() + solvers.ENERGY_EPS
+    order = np.argsort(energies, kind="stable")
+    best = int(np.flatnonzero(energies <= bar)[0])
+    rank = int(np.flatnonzero(order == best)[0])
+
+    def sample(state, rank):
+        return Sample(solvers._state_bits(state, q.n_vars), float(energies[state]), rank + 1)
+
+    size = solvers._ENUM_CHUNK
+    first = best - best % size
+    above = [
+        s for s in range(0, len(energies), size)
+        if s != first and energies[s : s + size].min() < energies[best]
+    ]
+    return sample(int(order[0]), 0), sample(best, rank), [first, *above]
+
+
+MIN = -1.0 - 1.5e-9  # the minimum of each planted case
+NEAR = MIN + 0.5e-9  # 0.5 * ENERGY_EPS above it: ties
+FAR = MIN + 1.5e-9  # 1.5 * ENERGY_EPS above it: does not tie
+
+
+class TestMultiChunkTies:
+    """QUBOs of 2 to 8 chunks, where the optimum's chunk is not the minimum's."""
+
+    @pytest.mark.parametrize(
+        "n, linear, winner",
+        [
+            # A tie in chunk 0 with the minimum in chunk 1.
+            (17, {16: NEAR, 0: MIN}, 1),
+            # Chunk 0 ties chunk 1 until chunk 2's lower minimum drops it.
+            (18, {17: FAR, 1: NEAR, 0: MIN}, 1 << 16),
+            # The minimum in chunk 1 wins; chunk 2 ties it from above.
+            (19, {18: FAR, 2: MIN, 1: NEAR, 0: FAR}, 1 << 16),
+            # Equal near-ties in chunks 0 and 2, the minimum in chunk 4.
+            (19, {17: NEAR, 2: FAR, 1: NEAR, 0: MIN}, 2),
+            # Every state of every chunk ties.
+            (18, None, 0),
+        ],
+        ids=["tie-before-minimum", "lower-minimum-drops-tie", "minimum-wins", "equal-ties", "zero"],
+    )
+    def test_matches_materialized_ranking(self, monkeypatch, n, linear, winner):
+        q = QuboMatrix(n) if linear is None else planted_minima(n, linear)
+        head, best, again = materialized_ranking(q)
+        assert best.bits == solvers._state_bits(winner, n)
+        kernel = solvers._energy_kernel
+        computed = []
+
+        def spy(q):
+            starts, chunk = kernel(q)
+
+            def counted(start):
+                computed.append(start)
+                return chunk(start)
+
+            return starts, counted
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_energy_kernel", spy)
+            assert ground_state(q) == (best.bits, best.energy)
+        assert computed == list(range(0, 1 << n, solvers._ENUM_CHUNK)) + again
+        result = solve_exact(q)
+        assert result.best() == best
+        assert result.samples[0] == head
+        assert len(result.samples) == 1 << n
+
+    def test_optimum_needs_no_memory_per_state(self):
+        rng = np.random.default_rng(24)
+        q = QuboMatrix(24)
+        rows, cols = np.triu_indices(24)
+        q.add_terms(rows, cols, rng.normal(size=rows.size))
+        tracemalloc.start()
+        try:
+            result = solve_exact(q)
+            result.best(), result.samples[0], len(result.samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 2^24 energies alone would take 128 MiB.
+        assert peak < 4 * 2**20
+
+
 def tied_qubo():
     """6 variables, coefficients in {-1, 0, 1}: exact sums, many ties."""
     rng = np.random.default_rng(11)
