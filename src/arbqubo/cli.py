@@ -66,6 +66,15 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _read_counts(text: str) -> list[int]:
+    """A non-empty comma-separated list of read counts, each at least 1,
+    so a bad entry fails before any batch runs or row prints."""
+    counts = _int_list(text)
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"need read counts >= 1, got {text!r}")
+    return counts
+
+
 def _read_rates(path: str):
     fmt = "json" if path.endswith(".json") else "csv"
     with open(path, "rb") as fh:
@@ -129,7 +138,7 @@ def build_parser() -> _Parser:
         default="sa,tabu",
         help=f"comma-separated subset of {','.join(SOLVER_REGISTRY)}",
     )
-    bench.add_argument("--reads", type=_int_list, default=[50, 500])
+    bench.add_argument("--reads", type=_read_counts, default=[50, 500])
     bench.add_argument("--batches", type=int, default=2)
     bench.add_argument("--out", required=True, help="report output path")
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -140,7 +149,7 @@ def build_parser() -> _Parser:
     timing.add_argument("--anneal", type=float, default=50.0)
     timing.add_argument("--readout", type=float, required=True)
     timing.add_argument("--delay", type=float, default=20.0)
-    timing.add_argument("--reads", type=_int_list, default=[1, 10, 100, 500])
+    timing.add_argument("--reads", type=_read_counts, default=[1, 10, 100, 500])
     timing.add_argument("--include-overhead", action="store_true")
     timing.add_argument("--overhead", type=float, default=DEFAULT_OVERHEAD_US)
     timing.set_defaults(func=cmd_timing)

@@ -51,8 +51,8 @@ class NotFeasible(ArbQuboError):
 # -- solvers / bench -----------------------------------------------------
 
 class TooLarge(ArbQuboError):
-    """The instance exceeds a size guard: brute-force enumeration's, or
-    the dense QUBO matrix's."""
+    """The instance exceeds a size guard: brute-force enumeration's, the
+    dense QUBO matrix's, or a generated market's, which follows from it."""
 
 
 class ParamError(ArbQuboError):

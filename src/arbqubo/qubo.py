@@ -177,7 +177,11 @@ def _state_bits(index: int, n: int) -> tuple[int, ...]:
 
 def _lowest_tied(values: np.ndarray) -> np.ndarray:
     """Along the last axis, the lowest index within ``ENERGY_EPS`` of the minimum."""
-    return np.argmax(values <= values.min(axis=-1, keepdims=True) + ENERGY_EPS, axis=-1)
+    # The ufunc and the methods skip numpy's Python-level wrappers, which
+    # cost as much as the work on a tabu iteration's few rows.
+    bound = np.minimum.reduce(values, axis=-1, keepdims=True)
+    bound += ENERGY_EPS
+    return (values <= bound).argmax(axis=-1)
 
 
 class RankedStates(Sequence[Sample]):

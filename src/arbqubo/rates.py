@@ -25,7 +25,9 @@ from .errors import (
     InvalidRate,
     InvalidSize,
     InvalidStrength,
+    TooLarge,
 )
+from .qubo import QUBO_MAX_VARS
 
 CSV_HEADER = ["from", "to", "rate"]
 
@@ -108,10 +110,18 @@ def generate_consistent(n: int, seed: int) -> RateMatrix:
 
     Rates are ratios of random positive potentials, so every directed
     cycle multiplies out to exactly 1: a clean no-arbitrage fixture.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  Every loop has at least 2
+    positions, so past ``QUBO_MAX_VARS // 2`` currencies no QUBO can be
+    built from the market: :class:`TooLarge`, before the n^2 rates are
+    allocated.
     """
     if n < 2:
         raise InvalidSize(f"need n >= 2, got {n}")
+    if n > QUBO_MAX_VARS // 2:
+        raise TooLarge(
+            f"{n} currencies exceeds {QUBO_MAX_VARS // 2}, past which even loop length 2 "
+            f"exceeds the dense QUBO guard {QUBO_MAX_VARS}"
+        )
     rng = np.random.default_rng(seed)
     potentials = np.exp(rng.uniform(-1.0, 1.0, size=n))
     rate = potentials[:, None] / potentials[None, :]

@@ -32,6 +32,11 @@ variables into levels so that updating level after level is the
 sequential sweep (:func:`_level_runs`).  A dense QUBO degrades to one
 variable per step.  SA draws its random thresholds a fixed-size tile of
 sweeps at a time, so its memory stays the same whatever the sweep count.
+
+Both inner loops are bound by numpy's per-call cost, not by arithmetic,
+on arrays of a few rows.  So each step writes into buffers and views
+built before the loop, mixes no scalar or broadcast operand it can avoid,
+and calls no function that wraps a ufunc or method in Python.
 """
 
 from __future__ import annotations
@@ -345,12 +350,16 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
 
     A sweep updates each level of :func:`_level_runs` in one step, for
     all reads of a block at once; that is the sequential sweep, because
-    Metropolis updates of uncoupled variables commute.  The thresholds are
-    drawn a tile of sweeps at a time into one buffer of at most
-    ``_SA_TILE_ELEMENTS`` (2 MiB; one sweep of the block if that is
-    larger), and the tile's sweeps run before the next tile is drawn, so
-    memory does not grow with ``sweeps_per_read``.  Like the read blocks,
-    the tiles do not change the output.
+    Metropolis updates of uncoupled variables commute.  A step is seven
+    calls on views and scratch built once per block: the signs ``1 - x -
+    x``, the deltas ``(couplings @ states + linear) * sign``, the test
+    ``delta < threshold`` and a flip that XORs the accepted bits.  Each
+    sweep first gathers its thresholds into one level-ordered buffer.
+    The thresholds are drawn a tile of sweeps at a time into one buffer
+    of at most ``_SA_TILE_ELEMENTS`` (2 MiB; one sweep of the block if
+    that is larger), and the tile's sweeps run before the next tile is
+    drawn, so memory does not grow with ``sweeps_per_read``.  Like the
+    read blocks, the tiles do not change the output.
     """
     t0 = time.perf_counter()
     n = q.n_vars
@@ -358,22 +367,25 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     betas = np.geomspace(beta_start, beta_end, p.sweeps_per_read)
     diag, sym = q.symmetric_parts()
     order, runs = _level_runs(sym)
-    # Per level: its span, its coupling rows and its linear terms, with
-    # variables in level order.
-    steps = [
-        (slice(a, b), sym[np.ix_(order[a:b], order)], diag[order[a:b], None])
-        for a, b in runs
-    ]
 
     def walk(reads: range, starts: np.ndarray, rngs: list) -> np.ndarray:
         # Variables-major, in level order: states[i, row] is variable
         # order[i] of the block's read ``row``.
         states = np.ascontiguousarray(starts[:, order].T)
         block = len(rngs)
-        # Linear terms as full (level, read) arrays, so a step can build
-        # its deltas in place.
+        # One sweep's thresholds, laid out like ``states``.
+        sweep_thresholds = np.empty_like(states)
+        # Per level, built once per block: its coupling rows and its linear
+        # terms as a full (level, read) array, with variables in level
+        # order, views of its states and thresholds, and scratch for its
+        # deltas, signs and acceptances.
         block_steps = [
-            (run, couplings, np.repeat(linear, block, axis=1)) for run, couplings, linear in steps
+            (
+                sym[np.ix_(order[a:b], order)], np.repeat(diag[order[a:b], None], block, axis=1),
+                states[a:b], sweep_thresholds[a:b], np.empty((b - a, block)),
+                np.empty((b - a, block)), np.empty((b - a, block), dtype=bool),
+            )
+            for a, b in runs
         ]
         tile_sweeps = min(p.sweeps_per_read, max(1, _SA_TILE_ELEMENTS // (n * block)))
         # Read-major, so each read's draws land in place: tile[row, s, v]
@@ -390,15 +402,17 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
                 np.log(thresholds, out=thresholds)
             thresholds /= -tile_betas[:, None]
             for sweep in range(len(tile_betas)):
-                # One sweep's thresholds, variables-major in level order.
-                sweep_thresholds = thresholds[:, sweep].T[order]
-                for run, couplings, linear in block_steps:
-                    x = states[run]
-                    sign = 1.0 - 2.0 * x
-                    delta = couplings @ states
+                thresholds[:, sweep].T.take(order, axis=0, out=sweep_thresholds)
+                for couplings, linear, x, threshold, delta, sign, accept in block_steps:
+                    # 1 - x - x is 1 - 2x exactly, for bits.
+                    np.subtract(1.0, x, out=sign)
+                    sign -= x
+                    np.matmul(couplings, states, out=delta)
                     delta += linear
                     delta *= sign
-                    x += (delta < sweep_thresholds[run]) * sign
+                    np.less(delta, threshold, out=accept)
+                    # An accepted flip turns 0 into 1 and 1 into 0.
+                    np.logical_xor(x, accept, out=x)
         final = np.empty_like(starts)
         final[:, order] = states.T
         return final
@@ -423,9 +437,16 @@ def _tabu_walks(
     ``diag + sym @ x``, so the deltas of all n flips are ``sign * field``.
     A flip of ``v`` with old sign ``s`` adds ``s * sym[v]`` to the fields:
     O(n) per move instead of a matrix-vector product.
+
+    A row's energy and its bar, best - ``ENERGY_EPS``, are ``(rows, 1)``
+    columns.  Blocked moves' candidates become inf in place, which leaves
+    the chosen move's candidate, its new energy, as it was, and a move
+    improves exactly when it aspires.  Rows are checked for stalling, and
+    the ``(rows, n)`` scratch is rebuilt, only at the first iteration at
+    which one can have stalled out.
     """
     n = q.n_vars
-    energy = _quadratic_forms(starts, q.upper) + q.offset
+    energy = (_quadratic_forms(starts, q.upper) + q.offset)[:, None]
     field = diag + (sym @ starts[:, :, None])[:, :, 0]
     sign = 1.0 - 2.0 * starts
     rows = np.arange(len(reads))
@@ -435,45 +456,54 @@ def _tabu_walks(
     bar = energy - ENERGY_EPS
     tabu_until = np.zeros(sign.shape, dtype=np.int64)
     improved_at = np.zeros(len(reads), dtype=np.int64)
-    row_starts = np.arange(0, sign.size, n)
     iteration = 0
     while rows.size:
-        iteration += 1
-        candidate = sign * field
-        candidate += energy[:, None]
-        aspiration = candidate < bar[:, None]
-        allowed = tabu_until < iteration
-        allowed |= aspiration
-        # At most ``tenure`` variables are tabu at once, so only a tenure
-        # of n or more can leave a row with no allowed move.
-        if tenure >= n:
-            allowed[~allowed.any(axis=1)] = True
-        v = _lowest_tied(np.where(allowed, candidate, np.inf))
-        flat = row_starts + v
-        if moves is not None:
-            read = (rows + reads.start).tolist()
-            was_tabu = (tabu_until.take(flat) >= iteration).tolist()
-            aspired = aspiration.take(flat).tolist()
-            moves.extend(zip(read, [iteration] * len(read), v.tolist(), was_tabu, aspired))
-        old = sign.take(flat)
-        field += old[:, None] * sym[v]
-        sign.put(flat, -old)
-        tabu_until.put(flat, iteration + tenure)
-        energy = candidate.take(flat)
-        improved = energy < bar
-        if improved.any():
-            bar[improved] = energy[improved] - ENERGY_EPS
-            best_sign[improved] = sign[improved]
-            improved_at[improved] = iteration
-        if improved_at.min() <= iteration - max_stall:
-            done = improved_at <= iteration - max_stall
-            best[rows[done]] = best_sign[done] < 0
-            keep = ~done
-            rows, sign, field, energy, best_sign, bar, tabu_until, improved_at = (
-                a[keep]
-                for a in (rows, sign, field, energy, best_sign, bar, tabu_until, improved_at)
-            )
-            row_starts = row_starts[: rows.size]
+        # ``improved_at`` only grows, so no row can stall out before
+        # ``stop``; there the stalled rows, if any, drop.
+        row_starts = np.arange(0, sign.size, n)
+        candidate, gathered = np.empty_like(sign), np.empty_like(sign)
+        aspiration, blocked = np.empty(sign.shape, dtype=bool), np.empty(sign.shape, dtype=bool)
+        stop = int(improved_at.min()) + max_stall
+        while iteration < stop:
+            iteration += 1
+            np.multiply(sign, field, out=candidate)
+            candidate += energy
+            np.less(candidate, bar, out=aspiration)
+            # Blocked: tabu and not aspiring (on bools, a > b is a and not b).
+            np.greater_equal(tabu_until, iteration, out=blocked)
+            np.greater(blocked, aspiration, out=blocked)
+            # At most ``tenure`` variables are tabu at once, so only a tenure
+            # of n or more can block every move of a row.
+            if tenure >= n:
+                blocked[blocked.all(axis=1)] = False
+            # The chosen move is not blocked, so its candidate stays its energy.
+            np.putmask(candidate, blocked, np.inf)
+            v = _lowest_tied(candidate)
+            flat = row_starts + v
+            if moves is not None:
+                read = (rows + reads.start).tolist()
+                was_tabu = (tabu_until.take(flat) >= iteration).tolist()
+                aspired = aspiration.take(flat).tolist()
+                moves.extend(zip(read, [iteration] * len(read), v.tolist(), was_tabu, aspired))
+            old = sign.take(flat)
+            sym.take(v, axis=0, out=gathered)
+            gathered *= old[:, None]
+            field += gathered
+            sign.put(flat, -old)
+            tabu_until.put(flat, iteration + tenure)
+            energy = candidate.take(flat)[:, None]
+            # A move improves exactly when it aspires.
+            improved = aspiration.take(flat)
+            if np.count_nonzero(improved):
+                bar[improved] = energy[improved] - ENERGY_EPS
+                best_sign[improved] = sign[improved]
+                improved_at[improved] = iteration
+        done = improved_at <= iteration - max_stall
+        best[rows[done]] = best_sign[done] < 0
+        keep = ~done
+        rows, sign, field, energy, best_sign, bar, tabu_until, improved_at = (
+            a[keep] for a in (rows, sign, field, energy, best_sign, bar, tabu_until, improved_at)
+        )
     return best
 
 

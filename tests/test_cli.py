@@ -59,6 +59,12 @@ class TestGen:
     def test_tiny_n_is_usage_error(self, tmp_path):
         assert main(["gen", "--n", "1", "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_oversized_n_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--n", "10000000", "--out", str(out)]) == 1
+        assert "exceeds 2048" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_path_is_io_error(self):
         assert main(["gen", "--n", "3", "--out", "/nonexistent/dir/x.csv"]) == 2
 
@@ -227,6 +233,33 @@ class TestBench:
             )
             assert code == 1
             assert not report_file.exists()
+
+
+class TestReadCounts:
+    """``bench --reads`` and ``timing --reads`` reject a bad list at parse
+    time: exit 1, nothing on stdout and no report."""
+
+    @pytest.mark.parametrize("reads", [",", "", "5,0", "0", "-1", "5,x"])
+    def test_bench_rejects(self, tmp_path, capsys, reads):
+        rates = write_fig1(tmp_path)
+        report_file = tmp_path / "r.csv"
+        code = main(
+            [
+                "bench", "--rates", rates, "--reads", reads, "--sweeps", "5",
+                "--out", str(report_file),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert not report_file.exists()
+
+    @pytest.mark.parametrize("reads", [",", "", "5,0", "0", "-1", "5,x"])
+    def test_timing_rejects(self, capsys, reads):
+        code = main(
+            ["timing", "--programming", "1", "--readout", "1", "--reads", reads]
+        )
+        assert code == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestTiming:

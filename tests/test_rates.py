@@ -20,6 +20,7 @@ from arbqubo import (
     InvalidSize,
     InvalidStrength,
     LogWeightMatrix,
+    TooLarge,
     RateMatrix,
     cycle_product,
     dump_rates_csv,
@@ -121,6 +122,13 @@ class TestGenerateConsistent:
     def test_rejects_tiny_n(self):
         with pytest.raises(InvalidSize):
             generate_consistent(1, seed=0)
+
+    @pytest.mark.parametrize("n", [2049, 10**7])
+    def test_rejects_n_past_the_qubo_guard(self, n):
+        # 2048 currencies at loop length 2 are the 4096-variable QUBO
+        # guard; 10^7 currencies would need 800 TB of rates.
+        with pytest.raises(TooLarge, match="exceeds 2048"):
+            generate_consistent(n, seed=0)
 
 
 class TestPlantCycle:

@@ -51,20 +51,25 @@ def planted_qubo(n=5, k=4, seed=7, strength=1.05):
     return build_qubo(w, shape, default_weights(w, shape))
 
 
-def noisy_loop_qubo():
-    """N=5 K=4 planted loop on a market with up to 1% noise on each rate.
+def noisy_loop_qubo(n=5, k=4):
+    """N=n K=k planted loop on a market with up to 1% noise on each rate.
 
     The noise breaks the exact move ties of an arbitrage-free market,
     which tabu would settle on the last bits of BLAS sums, so the golden
     values below do not depend on the BLAS build.
     """
-    base = generate_consistent(5, seed=7)
-    noise = np.exp(np.random.default_rng(7).uniform(-0.01, 0.01, size=(5, 5)))
+    base = generate_consistent(n, seed=7)
+    noise = np.exp(np.random.default_rng(7).uniform(-0.01, 0.01, size=(n, n)))
     np.fill_diagonal(noise, 1.0)
     rm = plant_cycle(RateMatrix(base.labels, base.rate * noise), (0, 1, 2), 1.05)
     w = to_log_weights(rm)
-    shape = ProblemShape(5, 4)
+    shape = ProblemShape(n, k)
     return build_qubo(w, shape, default_weights(w, shape))
+
+
+def bit_string(n, *ones):
+    """The n-bit string with 1 at the positions ``ones``."""
+    return "".join("1" if i in ones else "0" for i in range(n))
 
 
 def dense_qubo():
@@ -666,11 +671,35 @@ class TestTabu:
         assert [s.read_index for s in result.samples] == list(range(1, 8))
 
 
-# Output of the sequential one-read-at-a-time samplers on two QUBOs:
+# Output of the sequential one-read-at-a-time samplers on three QUBOs:
 # (QUBO, SA params, SA reads, tabu params, tabu reads, tabu trace), a read
 # being (bits, energy, read_index) and the trace (moves, last iteration per
-# read, sha256 of the trace's repr).
+# read, sha256 of the trace's repr).  "loop-240" is the N=30 K=8 shape of
+# the reads-240v benchmark: 240 variables in 66 levels.  Its SA reads match
+# the sequential sweep (below); its tabu walks, 12,000 moves per read, are
+# too long for the sequential reference and were recorded from the
+# lock-step walk.
 GOLDEN = {
+    "loop-240": (
+        lambda: noisy_loop_qubo(30, 8),
+        SamplerParams(num_reads=4, seed=9, sweeps_per_read=40),
+        [
+            (bit_string(240, 43, 53, 158, 161, 188, 209, 210, 216, 223), -1217.206768296088, 1),
+            (bit_string(240, 64, 71, 89, 118, 122, 123, 140, 165), -1254.1156859340051, 2),
+            (bit_string(240, 16, 19, 23, 46, 81, 92, 221, 224, 234), -1183.1007613309757, 3),
+            (bit_string(240, 29, 64, 71, 100, 105, 131, 186, 190), -1254.1235772023783, 4),
+        ],
+        SamplerParams(num_reads=2, seed=9),
+        [
+            (bit_string(240, 5, 14, 52, 89, 104, 111, 138, 187), -1254.2121949067916, 1),
+            (bit_string(240, 3, 5, 12, 14, 18, 104, 111, 121), -1254.2468201501504, 2),
+        ],
+        (
+            24233,
+            {1: 12116, 2: 12117},
+            "b47a065434c13dc8567bdffcc79ff564b4d5a9294d99bb61d3cb3b3a55dd93fb",
+        ),
+    ),
     "loop": (
         noisy_loop_qubo,
         SamplerParams(num_reads=5, seed=9, sweeps_per_read=30),
@@ -741,6 +770,30 @@ class TestGoldenOutput:
         assert len(trace) == moves
         assert {read: iteration for read, iteration, *_ in trace} == last
         assert hashlib.sha256(repr(trace).encode()).hexdigest() == digest
+
+
+class TestGoldenAt240Variables:
+    """The 240-variable goldens hold however the work is split."""
+
+    def test_sa_with_uneven_tiles_and_blocks(self, monkeypatch):
+        make, params, expected, *_ = GOLDEN["loop-240"]
+        q = make()
+        # Blocks of 3 and 1 reads; tiles of 7 x 5 + 5 sweeps, then 21 + 19.
+        monkeypatch.setattr(solvers, "_SA_BLOCK_ELEMENTS", 3 * 40 * q.n_vars)
+        monkeypatch.setattr(solvers, "_SA_TILE_ELEMENTS", 7 * q.n_vars * 3)
+        assert_samples(sample_sa(q, params), expected)
+
+    def test_sa_matches_sequential_sweep(self):
+        make, params, *_ = GOLDEN["loop-240"]
+        q = make()
+        assert [s.bits for s in sample_sa(q, params).samples] == sequential_sa(q, params)
+
+    def test_tabu_trace_does_not_change_samples(self):
+        make, _, _, params, expected, _ = GOLDEN["loop-240"]
+        q = make()
+        untraced = sample_tabu(q, params)
+        assert untraced.samples == sample_tabu(q, params, trace=[]).samples
+        assert_samples(untraced, expected)
 
 
 def sequential_sa(q: QuboMatrix, p: SamplerParams) -> list[tuple[int, ...]]:
