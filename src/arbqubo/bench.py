@@ -197,10 +197,12 @@ def run_batches(
     q: QuboMatrix,
     params: SamplerParams,
     batches: int,
+    optimal_energy: float | None = None,
 ) -> BenchReport:
     """Run a sampler ``batches`` times and record time and reads-to-optimum.
 
-    The optimum is established once by exact enumeration.  Batch ``b``
+    The optimum is ``optimal_energy`` when given, else established once by
+    exact enumeration (:func:`ground_state`).  Batch ``b``
     reseeds the sampler with ``params.seed + b`` so batches differ but the
     whole report stays reproducible.  ``solver`` is a name in
     :data:`SOLVER_REGISTRY`, whose rows carry the sampler's own solver
@@ -212,7 +214,8 @@ def run_batches(
     if batches < 1:
         raise ParamError(f"batches must be >= 1, got {batches}")
 
-    _, optimal_energy = ground_state(q)
+    if optimal_energy is None:
+        _, optimal_energy = ground_state(q)
     report = BenchReport()
     for batch in range(1, batches + 1):
         batch_params = replace(params, seed=params.seed + batch)

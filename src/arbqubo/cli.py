@@ -233,13 +233,14 @@ def cmd_bench(args) -> int:
     for solver in solvers:  # reject unknown names before any batch runs
         lookup_solver(solver)
 
+    _, optimal_energy = ground_state(q)
     combined = BenchReport()
     for solver in solvers:
         for reads in args.reads:
             params = SamplerParams(
                 num_reads=reads, seed=args.seed, sweeps_per_read=args.sweeps
             )
-            report = run_batches(solver, q, params, args.batches)
+            report = run_batches(solver, q, params, args.batches, optimal_energy)
             combined.rows.extend(report.rows)
 
     with open(args.out, "wb") as fh:

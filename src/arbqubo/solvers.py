@@ -30,8 +30,11 @@ SA keeps its states variables-major and updates, in one step, each run of
 mutually uncoupled variables: the QUBO's sparsity pattern orders the
 variables into levels so that updating level after level is the
 sequential sweep (:func:`_level_runs`).  A dense QUBO degrades to one
-variable per step.  SA draws its random thresholds a fixed-size tile of
-sweeps at a time, so its memory stays the same whatever the sweep count.
+variable per step.  Once per sweep, each set bit's threshold takes the
+bit's sign (:func:`_fold_set_bits`), so a step is three calls: the
+fields, plus the linear terms, compared with the thresholds into the
+new bits.  SA draws its random thresholds a fixed-size tile of sweeps at
+a time, so its memory stays the same whatever the sweep count.
 
 Both inner loops are bound by numpy's per-call cost, not by arithmetic,
 on arrays of a few rows.  So each step writes into buffers and views
@@ -81,6 +84,9 @@ _SA_TILE_ELEMENTS = 1 << 18
 # Tabu walks at most this many (read, variable) states at once, so each of
 # its arrays stays within a few MB.
 _TABU_BLOCK_ELEMENTS = 1 << 18
+# The smallest -ln(u) is 2^-53, so at this beta an SA threshold rounds to
+# 0, which :func:`_fold_set_bits` cannot carry: betas stay below it.
+_BETA_LIMIT = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,9 @@ class SamplerParams:
     ``beta_start``/``beta_end`` default to 0.1 and 10 divided by the
     largest coefficient magnitude of the problem being solved, which keeps
     the acceptance probabilities in a useful range regardless of how the
-    instance is scaled.  ``tabu_tenure`` defaults to ceil(n/4) of the
-    problem's n variables.
+    instance is scaled.  Betas stay below 2^1022 (about 4.49e307), where
+    an acceptance threshold would round to 0.  ``tabu_tenure`` defaults to
+    ceil(n/4) of the problem's n variables.
     """
 
     num_reads: int = 100
@@ -111,9 +118,9 @@ class SamplerParams:
         if (self.beta_start is None) != (self.beta_end is None):
             raise ParamError("beta_start and beta_end must be set together")
         if self.beta_start is not None and self.beta_end is not None:
-            if not (0 < self.beta_start < self.beta_end < math.inf):
+            if not (0 < self.beta_start < self.beta_end < _BETA_LIMIT):
                 raise ParamError(
-                    f"need 0 < beta_start < beta_end < inf, got "
+                    f"need 0 < beta_start < beta_end < 2**1022, got "
                     f"({self.beta_start}, {self.beta_end})"
                 )
         if self.tabu_tenure is not None and self.tabu_tenure < 1:
@@ -121,12 +128,13 @@ class SamplerParams:
 
     def effective_betas(self, q: QuboMatrix) -> tuple[float, float]:
         """The set betas, else the defaults; a coefficient scale so small
-        (subnormal) that a default beta overflows is a :class:`ModelError`."""
+        that the default ``beta_end`` reaches 2^1022 is a
+        :class:`ModelError`."""
         if self.beta_start is not None and self.beta_end is not None:
             return self.beta_start, self.beta_end
         scale = q.max_abs_coefficient() or 1.0
         betas = 0.1 / scale, 10.0 / scale
-        if not math.isfinite(betas[1]):
+        if not betas[1] < _BETA_LIMIT:
             raise ModelError(f"largest coefficient {scale!r} is too small to scale the betas")
         return betas
 
@@ -337,6 +345,28 @@ def _level_runs(sym: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return np.argsort(level, kind="stable"), list(zip([0] + ends[:-1], ends))
 
 
+def _fold_set_bits(
+    state_bits: np.ndarray, threshold_bits: np.ndarray, set_bit: np.ndarray, sign_bit: np.ndarray
+) -> None:
+    """Turn the threshold ``t > 0`` of each set bit into ``nextafter(-t, inf)``.
+
+    All four arrays are int64: the bits of the 0.0/1.0 states and of their
+    thresholds, in place, and two scratch arrays.  A bit at 0 becomes 1
+    when its field ``f < t``.  A bit at 1 flips when ``-f < t``, so it
+    stays 1 exactly when ``f <= -t``, which is ``f < nextafter(-t, inf)``.
+    With set bits' thresholds so folded, a bit's new value is ``f <
+    threshold`` whatever its old one.  The bits of 1.0 shifted right by
+    61 are 1, those of 0.0 are 0.  Setting the sign bit of ``t`` gives
+    ``-t``, and its bits less one are the next float up (-0.0 from the
+    smallest subnormal, -DBL_MAX from -inf).  A zero threshold would turn
+    into NaN, which is why betas stay below 2^1022.
+    """
+    np.right_shift(state_bits, 61, out=set_bit)
+    np.left_shift(set_bit, 63, out=sign_bit)
+    threshold_bits ^= sign_bit
+    threshold_bits -= set_bit
+
+
 def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     """Simulated annealing: independent restarts of single-flip Metropolis.
 
@@ -350,21 +380,29 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
 
     A sweep updates each level of :func:`_level_runs` in one step, for
     all reads of a block at once; that is the sequential sweep, because
-    Metropolis updates of uncoupled variables commute.  A step is seven
-    calls on views and scratch built once per block: the signs ``1 - x -
-    x``, the deltas ``(couplings @ states + linear) * sign``, the test
-    ``delta < threshold`` and a flip that XORs the accepted bits.  Each
-    sweep first gathers its thresholds into one level-ordered buffer.
-    The thresholds are drawn a tile of sweeps at a time into one buffer
-    of at most ``_SA_TILE_ELEMENTS`` (2 MiB; one sweep of the block if
-    that is larger), and the tile's sweeps run before the next tile is
-    drawn, so memory does not grow with ``sweeps_per_read``.  Like the
-    read blocks, the tiles do not change the output.
+    Metropolis updates of uncoupled variables commute.  Each sweep first
+    gathers its thresholds into one level-ordered buffer, where each set
+    bit's threshold ``t`` becomes ``nextafter(-t, inf)``
+    (:func:`_fold_set_bits`): a variable is updated once per sweep, so its
+    bit at the sweep's start is its bit at its step.  A step is then three
+    calls on views and scratch built once per block: the fields
+    ``couplings @ states + linear`` and the new bits ``field <
+    threshold``.  That is the Metropolis test ``x XOR ((1 - 2x) * field <
+    t)`` for every field but NaN.  A NaN field, which only BLAS sums
+    overflowing to opposite infinities give, clears a set bit, which that
+    test would keep.  The thresholds are drawn a tile of sweeps at a time
+    into one buffer of at most ``_SA_TILE_ELEMENTS`` (2 MiB; one sweep of
+    the block if that is larger), and the tile's sweeps run before the
+    next tile is drawn, so memory does not grow with ``sweeps_per_read``.
+    Like the read blocks, the tiles do not change the output.
     """
     t0 = time.perf_counter()
     n = q.n_vars
     beta_start, beta_end = p.effective_betas(q)
     betas = np.geomspace(beta_start, beta_end, p.sweeps_per_read)
+    # geomspace can round an inner beta past beta_end, and past 2^1022 a
+    # threshold can round to 0.
+    np.minimum(betas, beta_end, out=betas)
     diag, sym = q.symmetric_parts()
     order, runs = _level_runs(sym)
 
@@ -373,17 +411,19 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
         # order[i] of the block's read ``row``.
         states = np.ascontiguousarray(starts[:, order].T)
         block = len(rngs)
-        # One sweep's thresholds, laid out like ``states``.
+        # One sweep's thresholds, laid out like ``states``, and scratch for
+        # folding the set bits' signs into them.
         sweep_thresholds = np.empty_like(states)
+        state_bits, threshold_bits = states.view(np.int64), sweep_thresholds.view(np.int64)
+        set_bit, sign_bit = np.empty_like(state_bits), np.empty_like(state_bits)
         # Per level, built once per block: its coupling rows and its linear
         # terms as a full (level, read) array, with variables in level
         # order, views of its states and thresholds, and scratch for its
-        # deltas, signs and acceptances.
+        # fields.
         block_steps = [
             (
                 sym[np.ix_(order[a:b], order)], np.repeat(diag[order[a:b], None], block, axis=1),
                 states[a:b], sweep_thresholds[a:b], np.empty((b - a, block)),
-                np.empty((b - a, block)), np.empty((b - a, block), dtype=bool),
             )
             for a, b in runs
         ]
@@ -403,16 +443,11 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
             thresholds /= -tile_betas[:, None]
             for sweep in range(len(tile_betas)):
                 thresholds[:, sweep].T.take(order, axis=0, out=sweep_thresholds)
-                for couplings, linear, x, threshold, delta, sign, accept in block_steps:
-                    # 1 - x - x is 1 - 2x exactly, for bits.
-                    np.subtract(1.0, x, out=sign)
-                    sign -= x
-                    np.matmul(couplings, states, out=delta)
-                    delta += linear
-                    delta *= sign
-                    np.less(delta, threshold, out=accept)
-                    # An accepted flip turns 0 into 1 and 1 into 0.
-                    np.logical_xor(x, accept, out=x)
+                _fold_set_bits(state_bits, threshold_bits, set_bit, sign_bit)
+                for couplings, linear, x, threshold, field in block_steps:
+                    np.matmul(couplings, states, out=field)
+                    field += linear
+                    np.less(field, threshold, out=x)
         final = np.empty_like(starts)
         final[:, order] = states.T
         return final

@@ -20,7 +20,7 @@ from arbqubo import (
     solve_exact,
     to_log_weights,
 )
-from arbqubo import cli, qubo, solvers
+from arbqubo import bench, cli, qubo, solvers
 from arbqubo.cli import main
 
 from conftest import fig1_csv_bytes
@@ -220,6 +220,30 @@ class TestBench:
         assert code == 0
         rows = report_file.read_text().strip().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["simulated_annealing", "tabu"]
+
+    def test_optimum_is_found_once(self, tmp_path, monkeypatch):
+        rates = write_planted(tmp_path)
+        report_file = tmp_path / "report.csv"
+        energies = []
+
+        def counted(q):
+            energies.append(ground_state(q)[1])
+            return ground_state(q)
+
+        monkeypatch.setattr(cli, "ground_state", counted)
+        monkeypatch.setattr(bench, "ground_state", counted)
+        code = main(
+            [
+                "bench", "--rates", str(rates), "--loop-length", "3",
+                "--solvers", "sa,tabu", "--reads", "5,10", "--batches", "2",
+                "--sweeps", "20", "--out", str(report_file),
+            ]
+        )
+        assert code == 0
+        assert len(energies) == 1
+        rows = bench.load_report(report_file.read_bytes()).rows
+        assert len(rows) == 8
+        assert {row.optimal_energy for row in rows} == set(energies)
 
     def test_unknown_solver_is_usage_error(self, tmp_path):
         rates = write_fig1(tmp_path)

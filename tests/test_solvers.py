@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -480,6 +481,13 @@ class TestSamplerParams:
         with pytest.raises(ParamError):
             SamplerParams(beta_start=betas[0], beta_end=betas[1])
 
+    @pytest.mark.parametrize("beta_end", [2.0**1022, 1e308])
+    def test_beta_end_below_two_to_the_1022(self, beta_end):
+        # At beta 2^1022 the smallest threshold, 2^-53 / beta, rounds to 0.
+        with pytest.raises(ParamError, match="2\\*\\*1022"):
+            SamplerParams(beta_start=1.0, beta_end=beta_end)
+        SamplerParams(beta_start=1.0, beta_end=math.nextafter(2.0**1022, 0.0))
+
     def test_bad_tenure(self):
         with pytest.raises(ParamError):
             SamplerParams(tabu_tenure=0)
@@ -508,6 +516,19 @@ class TestSimulatedAnnealing:
             num_reads=2, seed=1, sweeps_per_read=5, beta_start=1.0, beta_end=2.0
         )
         assert len(sample_sa(q, set_betas)) == 2
+
+    @pytest.mark.parametrize("scale, fails", [(2.3e-307, False), (2.2e-307, True)])
+    def test_default_beta_end_stays_below_two_to_the_1022(self, scale, fails):
+        # 10 / 2.2e-307 is past 2^1022 = 4.49e307; 10 / 2.3e-307 is not.
+        q = QuboMatrix(3)
+        q.add_terms([0, 1], [1, 2], [scale, -scale])
+        params = SamplerParams(num_reads=2, seed=1, sweeps_per_read=5)
+        if fails:
+            with pytest.raises(ModelError, match="too small"):
+                sample_sa(q, params)
+        else:
+            assert params.effective_betas(q)[1] < 2.0**1022
+            assert len(sample_sa(q, params)) == 2
 
     def test_zero_problem_stays_at_zero_energy(self):
         q = QuboMatrix(6)
@@ -862,6 +883,113 @@ class TestLevelOrderedSweeps:
         params = SamplerParams(num_reads=3, seed=4, sweeps_per_read=25)
         result = sample_sa(q, params)
         assert [s.bits for s in result.samples] == sequential_sa(q, params)
+
+
+def metropolis_bits(x: np.ndarray, field: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """New bits of the Metropolis test: flip when ``(1 - 2x) * field < t``."""
+    return np.logical_xor(x, (1.0 - x - x) * field < t)
+
+
+class TestFoldedThresholds:
+    """A step's ``field < threshold``, after the set bits' thresholds are
+    folded, is the Metropolis test for every threshold above 0."""
+
+    MAX = np.finfo(float).max
+    THRESHOLDS = [2.0**-1074, 1e-310, 2.0**-1022, 0.5, MAX, math.inf]
+
+    @pytest.mark.parametrize("t", THRESHOLDS)
+    def test_matches_metropolis_on_edge_fields(self, t):
+        fields = [math.inf, -math.inf, self.MAX, -self.MAX, 0.0, -0.0, t, -t]
+        fields += [math.nextafter(f, to) for f in (t, -t) for to in (math.inf, -math.inf)]
+        f = np.array(fields * 2)[:, None]
+        x = np.repeat([0.0, 1.0], len(fields))[:, None]
+        threshold = np.full_like(x, t)
+        scratch = np.empty_like(x.view(np.int64)), np.empty_like(x.view(np.int64))
+        solvers._fold_set_bits(x.view(np.int64), threshold.view(np.int64), *scratch)
+        assert (threshold[x == 0.0] == t).all()
+        assert (threshold[x == 1.0] == math.nextafter(-t, math.inf)).all()
+        with np.errstate(invalid="ignore"):
+            expected = metropolis_bits(x, f, t)
+        assert np.array_equal(f < threshold, expected)
+
+
+def seven_call_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
+    """SA with the earlier level step, which tested ``(1 - 2x) * field <
+    t`` and XORed the accepted flips into the bits, on the level order,
+    read blocks, thresholds and read driver of ``sample_sa``."""
+    beta_start, beta_end = p.effective_betas(q)
+    betas = np.geomspace(beta_start, beta_end, p.sweeps_per_read)
+    diag, sym = q.symmetric_parts()
+    order, runs = solvers._level_runs(sym)
+    steps = [(sym[np.ix_(order[a:b], order)], diag[order[a:b], None], slice(a, b)) for a, b in runs]
+
+    def walk(reads, starts, rngs):
+        states = np.ascontiguousarray(starts[:, order].T)
+        uniforms = np.array([rng.random((p.sweeps_per_read, q.n_vars)) for rng in rngs])
+        with np.errstate(divide="ignore"):
+            thresholds = np.log(uniforms) / -betas[:, None]
+        for sweep in range(p.sweeps_per_read):
+            sweep_thresholds = thresholds[:, sweep].T[order]
+            for couplings, linear, level in steps:
+                field = couplings @ states + linear
+                states[level] = metropolis_bits(states[level], field, sweep_thresholds[level])
+        final = np.empty_like(starts)
+        final[:, order] = states.T
+        return final
+
+    block_reads = max(1, solvers._SA_BLOCK_ELEMENTS // (p.sweeps_per_read * q.n_vars))
+    params = dict(sweeps_per_read=p.sweeps_per_read, beta_start=beta_start, beta_end=beta_end)
+    return solvers._sample_reads(
+        q, p, time.perf_counter(), block_reads, walk, solvers.SA_SOLVER_NAME, params
+    )
+
+
+def mapped_qubo(q: QuboMatrix, f) -> QuboMatrix:
+    """``q`` with ``f`` applied to its nonzero coefficients."""
+    rows, cols = np.nonzero(q.upper)
+    return QuboMatrix(q.n_vars).add_terms(rows, cols, f(q.upper[rows, cols]))
+
+
+class TestMatchesSevenCallStep:
+    """``sample_sa`` gives the bits, energies and params of the Metropolis
+    step it replaced, at zero fields, subnormal thresholds and +-inf fields."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_coefficients(self, seed):
+        # Rounded coefficients leave many fields exactly 0.
+        q = mapped_qubo(sparse_qubo(4 + seed, 0.4, seed), np.round)
+        betas = {} if seed % 2 else dict(beta_start=0.5, beta_end=5.0)
+        params = SamplerParams(num_reads=6, seed=seed, sweeps_per_read=30, **betas)
+        self.assert_same(q, params)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subnormal_thresholds(self, seed):
+        # Thresholds -ln(u) / beta reach below 1e-308 at these betas.
+        q = mapped_qubo(sparse_qubo(10, 0.5, seed), lambda c: c * 1e-300)
+        params = SamplerParams(
+            num_reads=6, seed=seed, sweeps_per_read=30, beta_start=1e300, beta_end=4e307
+        )
+        self.assert_same(q, params)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_infinite_fields(self, n):
+        q = QuboMatrix(n)  # every pair of set bits sums below -max float
+        for i in range(n):
+            for j in range(i, n):
+                q.add_coefficient(i, j, -1e308)
+        params = SamplerParams(num_reads=4, seed=1, sweeps_per_read=5)
+        messages = []
+        for sampler in (sample_sa, seven_call_sa):
+            with pytest.raises(ModelError, match="read 1 ") as raised:
+                sampler(q, params)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    @staticmethod
+    def assert_same(q, params):
+        result, reference = sample_sa(q, params), seven_call_sa(q, params)
+        assert result.samples == reference.samples
+        assert result.params == reference.params
 
 
 def sequential_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
