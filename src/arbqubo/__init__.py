@@ -48,7 +48,6 @@ from .model import (
 from .oracle import OracleResult, best_cycle_bruteforce, has_arbitrage_bellman_ford
 from .qubo import (
     QuboMatrix,
-    RankedStates,
     Sample,
     SampleSet,
     qubo_from_json,

@@ -104,12 +104,12 @@ def first_optimum_read(
 ) -> int | None:
     """Smallest read index whose energy reaches the optimum within ``tol``.
 
-    Only meaningful on production-ordered sets; exact-solver output is
-    energy-sorted and rejected.
+    Only meaningful on production-ordered sets; an exact-solver set holds
+    the optimum alone, with no production order, and is rejected.
     """
     if s.solver_name == EXACT_SOLVER_NAME:
         raise WrongOrdering(
-            "exact-solver SampleSets are energy-sorted, not production-ordered"
+            "an exact-solver SampleSet holds the optimum, not reads in production order"
         )
     for sample in s.samples:
         if sample.energy <= optimal_energy + tol:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import fields, replace
 
 from .bench import (
@@ -38,7 +37,7 @@ from .model import (
     profitability,
 )
 from .oracle import PROFIT_EPS, best_cycle_bruteforce, has_arbitrage_bellman_ford
-from .qubo import Sample, SampleSet, sampleset_to_json
+from .qubo import sampleset_to_json
 from .rates import (
     dump_rates_csv,
     generate_consistent,
@@ -46,7 +45,7 @@ from .rates import (
     plant_cycle,
     to_log_weights,
 )
-from .solvers import EXACT_SOLVER_NAME, SamplerParams, ground_state
+from .solvers import EXACT_SOLVER_NAME, SamplerParams, ground_state, solve_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,10 +187,7 @@ def cmd_solve(args) -> int:
     q = build_qubo(w, shape, weights)
 
     if args.solver == EXACT_SOLVER_NAME:
-        t0 = time.perf_counter()
-        best = Sample(*ground_state(q), read_index=1)
-        wall_us = (time.perf_counter() - t0) * 1e6
-        result = SampleSet([best], {"wall_time_us": wall_us}, EXACT_SOLVER_NAME)
+        result = solve_exact(q)
     else:
         params = SamplerParams(
             num_reads=args.reads, seed=args.seed, sweeps_per_read=args.sweeps

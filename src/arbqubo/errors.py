@@ -60,4 +60,4 @@ class ParamError(ArbQuboError):
 
 
 class WrongOrdering(ArbQuboError):
-    """A SampleSet is not in production order (e.g. energy-sorted exact output)."""
+    """A SampleSet is not in production order (e.g. the exact solver's optimum)."""

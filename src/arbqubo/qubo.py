@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -169,8 +166,8 @@ def _state_bits(index: int, n: int) -> tuple[int, ...]:
     """Bits of enumeration state ``index``; bit 0 is the high bit.
 
     With that convention, ascending state index is exactly ascending
-    lexicographic order of the bit tuples, so stable sorts on energy break
-    ties lexicographically for free.
+    lexicographic order of the bit tuples, so the lowest tied index is the
+    lowest tied bits.
     """
     return tuple((index >> shift) & 1 for shift in range(n - 1, -1, -1))
 
@@ -184,78 +181,17 @@ def _lowest_tied(values: np.ndarray) -> np.ndarray:
     return (values <= bound).argmax(axis=-1)
 
 
-class RankedStates(Sequence[Sample]):
-    """Every state of an ``n_vars`` QUBO, ranked by ascending energy.
-
-    The view starts from the exact solver's scan: ``head``, the sample at
-    rank 0, and ``best``, the one :meth:`best` answers.  Reading only
-    those, or ``len()``, costs no memory per state.  The ``energies``
-    array, state ``i``'s at index ``i`` (8 bytes per state), comes from
-    the ``energies`` callable when first read, and ``order``, its stable
-    argsort (8 more), when a rank past 0, iteration, ``==`` or the JSON
-    first needs it.  Ties rank in lexicographic bit order.  The
-    ``Sample`` at rank ``r`` is built on access, with ``read_index`` r + 1.
-    """
-
-    def __init__(
-        self, n_vars: int, head: Sample, best: Sample, energies: Callable[[], np.ndarray]
-    ):
-        self.n_vars = n_vars
-        self._head = head
-        self._best = best
-        self._compute_energies = energies
-
-    @cached_property
-    def energies(self) -> np.ndarray:
-        """Energy of each enumeration state, by state index."""
-        return self._compute_energies()
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """State indices by ascending energy, ties in ascending index."""
-        return np.argsort(self.energies, kind="stable")
-
-    def best(self) -> Sample:
-        """The lowest state index among energies within ``ENERGY_EPS`` of
-        the minimum, at its rank."""
-        return self._best
-
-    def __len__(self) -> int:
-        return 1 << self.n_vars
-
-    def __getitem__(self, rank):
-        if isinstance(rank, slice):
-            return [self[r] for r in range(*rank.indices(len(self)))]
-        rank = operator.index(rank)
-        if rank < 0:
-            rank += len(self)
-        if not 0 <= rank < len(self):
-            raise IndexError(f"rank {rank} out of range [0, {len(self)})")
-        if rank == 0:
-            return self._head
-        state = int(self.order[rank])
-        return Sample(_state_bits(state, self.n_vars), float(self.energies[state]), rank + 1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"RankedStates(n_vars={self.n_vars}, states={len(self)})"
-
-
 @dataclass
 class SampleSet:
-    """Samples in the exact order a solver produced them, plus timing.
+    """Samples plus timing.
 
-    The exact solver's ``samples`` is a :class:`RankedStates`, which builds
-    each sample on access; the samplers' is a plain list.  ``timing``
-    values are microseconds.  ``params`` records the sampler parameters
-    used, when applicable, so exported sets are replayable.
+    A sampler's samples are in the order it produced them, one per read;
+    the exact solver's set holds one sample, the optimum, as read 1.
+    ``timing`` values are microseconds.  ``params`` records the sampler
+    parameters used, when applicable, so exported sets are replayable.
     """
 
-    samples: Sequence[Sample]
+    samples: list[Sample]
     timing: dict[str, float]
     solver_name: str
     params: dict | None = None
@@ -265,10 +201,11 @@ class SampleSet:
         within ``ENERGY_EPS`` of the minimum; of equal bits, the first.
 
         The tolerance makes the pick independent of the last bits of the
-        energy sums, which differ between evaluators.
+        energy sums, which differ between evaluators.  An empty set has no
+        best sample: :class:`DimensionError`.
         """
-        if isinstance(self.samples, RankedStates):
-            return self.samples.best()
+        if not self.samples:
+            raise DimensionError(f"{self.solver_name} sample set holds no samples")
         lowest = min(s.energy for s in self.samples)
         return min(
             (s for s in self.samples if s.energy <= lowest + ENERGY_EPS), key=lambda s: s.bits
@@ -366,49 +303,19 @@ def qubo_from_json(text: str) -> QuboMatrix:
     return q.add_terms(i, j, v)
 
 
-# Records per ``json.dumps`` call of the sample-set JSON: bounds the Python
-# objects alive at once, so encoding 2^n ranked states builds no dict per state.
-_JSON_BATCH = 1 << 12
-
-
-def _record_batches(samples: Sequence[Sample]) -> Iterator[list[dict]]:
-    """The JSON record of each sample, in order, ``_JSON_BATCH`` at a time.
-
-    A :class:`RankedStates` is read straight from its arrays, without
-    building a ``Sample`` per state.
-    """
-    for first in range(0, len(samples), _JSON_BATCH):
-        if isinstance(samples, RankedStates):
-            width = f"0{samples.n_vars}b"
-            states = samples.order[first : first + _JSON_BATCH]
-            records = zip(
-                (format(state, width) for state in states.tolist()),
-                samples.energies[states].tolist(),
-                range(first + 1, first + 1 + len(states)),
-            )
-        else:
-            records = (
-                ("".join(str(b) for b in smp.bits), smp.energy, smp.read_index)
-                for smp in samples[first : first + _JSON_BATCH]
-            )
-        yield [
-            {"bits": bits, "energy": energy, "read_index": read_index}
-            for bits, energy, read_index in records
-        ]
-
-
 def sampleset_to_json(s: SampleSet) -> str:
-    """The set as one JSON object: solver, params, timing and samples.
-
-    The samples are encoded a bounded batch at a time, each batch through
-    ``json.dumps`` as a list, so the text is that of one ``json.dumps``
-    call over the whole set.
-    """
-    head = json.dumps(
-        {"solver": s.solver_name, "params": s.params, "timing": s.timing, "samples": []}
+    """The set as one JSON object: solver, params, timing and samples."""
+    samples = [
+        {
+            "bits": "".join(str(b) for b in smp.bits),
+            "energy": smp.energy,
+            "read_index": smp.read_index,
+        }
+        for smp in s.samples
+    ]
+    return json.dumps(
+        {"solver": s.solver_name, "params": s.params, "timing": s.timing, "samples": samples}
     )
-    records = ", ".join(json.dumps(batch)[1:-1] for batch in _record_batches(s.samples))
-    return head[: -len("]}")] + records + "]}"
 
 
 def _record_bits(bits) -> tuple[int, ...]:

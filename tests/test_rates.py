@@ -230,6 +230,7 @@ class TestRejectedInput:
             (b'{"labels": ["A", "B"], "rates": [[1, 2]]}', "json", IncompleteMatrix),
             (b'{"labels": ["A", "B"], "rates": [1, 2]}', "json", IncompleteMatrix),
             (b'{"labels": "AB", "rates": [[1, 2], [0.5, 1]]}', "json", IncompleteMatrix),
+            (b'{"labels": [1, true], "rates": [[1, 2], [0.5, 1]]}', "json", IncompleteMatrix),
             (b'{"labels": ["A", "B"], "rates": [[1, "2"], [0.5, 1]]}', "json", InvalidRate),
             (b'{"labels": ["A", "B"], "rates": [[1, true], [0.5, 1]]}', "json", InvalidRate),
             (
@@ -242,7 +243,8 @@ class TestRejectedInput:
             "csv-empty", "csv-header", "csv-short-row", "csv-not-a-number",
             "csv-zero-rate", "csv-one-currency", "csv-not-utf8", "json-invalid",
             "json-missing-key", "json-short-grid", "json-rows-not-lists",
-            "json-labels-string", "json-string-rate", "json-bool-rate", "json-huge-int-rate",
+            "json-labels-string", "json-labels-not-strings", "json-string-rate",
+            "json-bool-rate", "json-huge-int-rate",
         ],
     )
     def test_load_rates(self, payload, fmt, error):

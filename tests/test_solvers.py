@@ -119,34 +119,10 @@ class TestSolveExact:
         assert result.samples[0].bits == (1, 0)
         assert result.samples[0].energy == -1.0
 
-    def test_covers_all_states(self):
-        q = QuboMatrix(5)
-        result = solve_exact(q)
-        assert len(result) == 32
-        assert len({s.bits for s in result.samples}) == 32
-
-    def test_energy_sorted_with_lexicographic_ties(self):
-        q = QuboMatrix(2)  # all energies zero: pure tie-break
-        result = solve_exact(q)
-        assert [s.bits for s in result.samples] == [
-            (0, 0),
-            (0, 1),
-            (1, 0),
-            (1, 1),
-        ]
-        energies = [s.energy for s in result.samples]
-        assert energies == sorted(energies)
-
     def test_minimum_matches_naive_oracle(self):
         q = planted_qubo(n=3, k=4, seed=5)
         result = solve_exact(q)
         assert result.samples[0].energy == pytest.approx(naive_minimum(q), abs=1e-12)
-
-    def test_read_index_contiguous(self):
-        q = QuboMatrix(3)
-        q.add_coefficient(0, 1, 1.0)
-        result = solve_exact(q)
-        assert [s.read_index for s in result.samples] == list(range(1, 9))
 
     def test_guard(self):
         with pytest.raises(TooLarge):
@@ -166,6 +142,15 @@ class TestSolveExact:
         full = solve_exact(q)
         assert bits == full.samples[0].bits
         assert energy == full.samples[0].energy
+
+    def test_set_is_the_optimum_alone(self):
+        q = planted_qubo(n=3, k=4, seed=5)
+        result = solve_exact(q)
+        assert result.samples == [Sample(*ground_state(q), 1)]
+        assert result.solver_name == "exact"
+        assert result.params is None
+        assert list(result.timing) == ["wall_time_us"]
+        assert result.timing["wall_time_us"] > 0
 
 
 def overflowing_qubo():
@@ -224,7 +209,8 @@ class TestSplitHalvesEnergies:
         q = QuboMatrix(n, offset=float(rng.normal()))
         rows, cols = np.triu_indices(n)
         q.add_terms(rows, cols, rng.normal(size=rows.size))
-        starts, chunks = zip(*solvers._enumerate_energies(q))
+        starts, chunk = solvers._energy_kernel(q)
+        chunks = [chunk(start) for start in starts]
         sizes = [len(chunk) for chunk in chunks]
         assert max(sizes) <= solvers._ENUM_CHUNK
         assert list(starts) == np.cumsum([0] + sizes[:-1]).tolist()
@@ -238,8 +224,9 @@ class TestSplitHalvesEnergies:
 
     def test_overflow_names_a_non_finite_state(self):
         q = overflowing_qubo()
+        starts, chunk = solvers._energy_kernel(q)
         with pytest.raises(ModelError) as raised:
-            list(solvers._enumerate_energies(q))
+            [chunk(start) for start in starts]
         bits = ast.literal_eval(re.search(r"state (\([01, ]+\))", str(raised.value)).group(1))
         with np.errstate(over="ignore", invalid="ignore"):
             assert not math.isfinite(q.energy(bits))
@@ -261,14 +248,11 @@ class TestTieRule:
     )
     def test_lowest_bits_win_within_eps(self, low, expected):
         q = near_tie_qubo(low)
-        result = solve_exact(q)
-        assert result.samples[0].bits == (1, 0)  # the ranking itself is strict
         assert ground_state(q)[0] == expected
-        best = result.best()
-        assert best.bits == expected
-        assert best == list(result.samples)[best.read_index - 1]
-        reads = SampleSet(list(reversed(list(result.samples))), {}, "tabu")
-        assert reads.best().bits == expected
+        assert solve_exact(q).best().bits == expected
+        states = [(1, 1), (0, 0), (0, 1), (1, 0)]  # the lowest energy last
+        reads = [Sample(bits, q.energy(bits), r) for r, bits in enumerate(states, start=1)]
+        assert SampleSet(reads, {}, "tabu").best().bits == expected
 
     def test_ground_state_rule_spans_chunks(self):
         # State 2 is the first chunk's minimum and state 1 ties it.  The
@@ -301,27 +285,15 @@ def planted_minima(n: int, linear: dict[int, float]) -> QuboMatrix:
     return q.add_terms([a for a, _ in pairs], [b for _, b in pairs], 10.0)
 
 
-def materialized_ranking(q: QuboMatrix) -> tuple[Sample, Sample, list[int]]:
-    """Rank 0 and the optimum from all 2^n energies at once, a stable
-    argsort plus the tie rule, and the chunks a scan must compute again:
-    the first within ``ENERGY_EPS`` of the minimum, which holds the
-    optimum, then every other one holding a state ranked above it."""
-    energies = np.concatenate([chunk for _, chunk in solvers._enumerate_energies(q)])
-    bar = energies.min() + solvers.ENERGY_EPS
-    order = np.argsort(energies, kind="stable")
-    best = int(np.flatnonzero(energies <= bar)[0])
-    rank = int(np.flatnonzero(order == best)[0])
-
-    def sample(state, rank):
-        return Sample(solvers._state_bits(state, q.n_vars), float(energies[state]), rank + 1)
-
-    size = solvers._ENUM_CHUNK
-    first = best - best % size
-    above = [
-        s for s in range(0, len(energies), size)
-        if s != first and energies[s : s + size].min() < energies[best]
-    ]
-    return sample(int(order[0]), 0), sample(best, rank), [first, *above]
+def materialized_optimum(q: QuboMatrix) -> tuple[Sample, int]:
+    """The optimum by the tie rule from all 2^n energies at once, and the
+    one chunk a scan must compute again: the first within ``ENERGY_EPS``
+    of the minimum, which holds the optimum."""
+    starts, chunk = solvers._energy_kernel(q)
+    energies = np.concatenate([chunk(start) for start in starts])
+    best = int(np.flatnonzero(energies <= energies.min() + solvers.ENERGY_EPS)[0])
+    optimum = Sample(solvers._state_bits(best, q.n_vars), float(energies[best]), 1)
+    return optimum, best - best % solvers._ENUM_CHUNK
 
 
 MIN = -1.0 - 1.5e-9  # the minimum of each planted case
@@ -350,7 +322,7 @@ class TestMultiChunkTies:
     )
     def test_matches_materialized_ranking(self, monkeypatch, n, linear, winner):
         q = QuboMatrix(n) if linear is None else planted_minima(n, linear)
-        head, best, again = materialized_ranking(q)
+        best, first = materialized_optimum(q)
         assert best.bits == solvers._state_bits(winner, n)
         kernel = solvers._energy_kernel
         computed = []
@@ -367,11 +339,8 @@ class TestMultiChunkTies:
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_energy_kernel", spy)
             assert ground_state(q) == (best.bits, best.energy)
-        assert computed == list(range(0, 1 << n, solvers._ENUM_CHUNK)) + again
-        result = solve_exact(q)
-        assert result.best() == best
-        assert result.samples[0] == head
-        assert len(result.samples) == 1 << n
+        assert computed == list(range(0, 1 << n, solvers._ENUM_CHUNK)) + [first]
+        assert solve_exact(q).samples == [best]
 
     def test_optimum_needs_no_memory_per_state(self):
         rng = np.random.default_rng(24)
@@ -387,77 +356,6 @@ class TestMultiChunkTies:
             tracemalloc.stop()
         # The 2^24 energies alone would take 128 MiB.
         assert peak < 4 * 2**20
-
-
-def tied_qubo():
-    """6 variables, coefficients in {-1, 0, 1}: exact sums, many ties."""
-    rng = np.random.default_rng(11)
-    q = QuboMatrix(6)
-    for i in range(6):
-        for j in range(i, 6):
-            q.add_coefficient(i, j, float(rng.integers(-1, 2)))
-    return q
-
-
-def ranked_reference(q: QuboMatrix) -> list[Sample]:
-    """All states by (energy, bits), energies summed term by term."""
-    scored = []
-    for bits in itertools.product((0, 1), repeat=q.n_vars):
-        total = q.offset + sum(
-            q.coefficient(i, j)
-            for i in range(q.n_vars)
-            for j in range(i, q.n_vars)
-            if bits[i] and bits[j]
-        )
-        scored.append((total, bits))
-    scored.sort()
-    return [Sample(bits, energy, rank) for rank, (energy, bits) in enumerate(scored, start=1)]
-
-
-class TestRankedStates:
-    def test_ranking_matches_reference(self):
-        q = tied_qubo()
-        reference = ranked_reference(q)
-        assert len({s.energy for s in reference}) < 16  # 64 states, heavy ties
-        assert list(solve_exact(q).samples) == reference
-
-    def test_best_is_minimum_of_materialized_list(self):
-        result = solve_exact(tied_qubo())
-        assert result.best() == min(list(result.samples), key=lambda s: (s.energy, s.bits))
-
-    def test_best_and_first_rank_sort_nothing(self, monkeypatch):
-        def no_sort(*args, **kwargs):
-            raise AssertionError("the ranking was built")
-
-        q = tied_qubo()
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "argsort", no_sort)
-            result = solve_exact(q)
-            best, first = result.best(), result.samples[0]
-        ranked = list(result.samples)
-        assert best == min(ranked, key=lambda s: (s.energy, s.bits))  # exact sums
-        assert first == ranked[0]
-        assert result.samples.order is result.samples.order
-
-    def test_sequence_access(self):
-        q = tied_qubo()
-        reference = ranked_reference(q)
-        samples = solve_exact(q).samples
-        assert len(samples) == 64
-        assert samples[5] == reference[5]
-        assert samples[-1] == reference[-1]
-        assert samples[-64] == reference[0]
-        assert samples[10:20] == reference[10:20]
-        assert samples[::-7] == reference[::-7]
-        assert samples[60:100] == reference[60:]
-        with pytest.raises(IndexError):
-            samples[64]
-        with pytest.raises(IndexError):
-            samples[-65]
-        assert samples == reference
-        assert reference == samples
-        assert samples != reference[:-1]
-        assert samples != reference[::-1]
 
 
 class TestSamplerParams:
