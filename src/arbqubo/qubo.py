@@ -22,7 +22,7 @@ from .errors import DimensionError, ModelError, TooLarge
 # them as progress would reset tabu's stall counter indefinitely.  It is
 # also the tie rule: candidates within it of the minimum tie, and the
 # lowest index wins -- the lowest variable for a tabu move
-# (:func:`_lowest_tied`), the lowest bits for a state -- so exact ties on
+# (``solvers._tabu_walks``), the lowest bits for a state -- so exact ties on
 # arbitrage-free markets do not hang on the last bits of a sum.
 ENERGY_EPS = 1e-9
 
@@ -170,15 +170,6 @@ def _state_bits(index: int, n: int) -> tuple[int, ...]:
     lowest tied bits.
     """
     return tuple((index >> shift) & 1 for shift in range(n - 1, -1, -1))
-
-
-def _lowest_tied(values: np.ndarray) -> np.ndarray:
-    """Along the last axis, the lowest index within ``ENERGY_EPS`` of the minimum."""
-    # The ufunc and the methods skip numpy's Python-level wrappers, which
-    # cost as much as the work on a tabu iteration's few rows.
-    bound = np.minimum.reduce(values, axis=-1, keepdims=True)
-    bound += ENERGY_EPS
-    return (values <= bound).argmax(axis=-1)
 
 
 @dataclass
@@ -336,8 +327,15 @@ def sampleset_from_json(text: str) -> SampleSet:
         for rec in records
     ]
     widths = {len(smp.bits) for smp in samples}
-    if len(widths) > 1:
+    if len(widths) > 1 or 0 in widths:
         raise DimensionError(f"samples have bit strings of widths {sorted(widths)}")
+    # Reads are numbered 1, 2, ... in production order; first-optimum
+    # analysis answers with these numbers.
+    seen = set()
+    for smp in samples:
+        if smp.read_index < 1 or smp.read_index in seen:
+            raise DimensionError(f"read_index {smp.read_index} is not a new index >= 1")
+        seen.add(smp.read_index)
     timing = _json_object(obj.get("timing", {}), (), "timing")
     params = obj.get("params")
     return SampleSet(

@@ -24,21 +24,25 @@ array each.  A row keeps the local fields ``diag + sym @ x`` of its state
 and updates them in O(n) per flip, so its n move deltas cost no
 matrix-vector product.  Tabu moves whose energies lie within
 ``ENERGY_EPS`` of the best allowed one tie, and the lowest variable index
-wins (:func:`_lowest_tied`): rounding noise never picks the move.
+wins (:func:`_tabu_walks`): rounding noise never picks the move.
 SA keeps its states variables-major and updates, in one step, each run of
 mutually uncoupled variables: the QUBO's sparsity pattern orders the
 variables into levels so that updating level after level is the
 sequential sweep (:func:`_level_runs`).  A dense QUBO degrades to one
 variable per step.  Once per sweep, each set bit's threshold takes the
 bit's sign (:func:`_fold_set_bits`), so a step is three calls: the
-fields, plus the linear terms, compared with the thresholds into the
-new bits.  SA draws its random thresholds a fixed-size tile of sweeps at
-a time, so its memory stays the same whatever the sweep count.
+fields by ``np.dot``, plus the linear terms, compared with the
+thresholds into the new bits.  SA draws its random thresholds a
+fixed-size tile of sweeps at a time, so its memory stays the same
+whatever the sweep count.
 
 Both inner loops are bound by numpy's per-call cost, not by arithmetic,
 on arrays of a few rows.  So each step writes into buffers and views
-built before the loop, mixes no scalar or broadcast operand it can avoid,
-and calls no function that wraps a ufunc or method in Python.
+built before the loop and passes them by position, calls ``np.dot``
+rather than ``np.matmul``, whose gufunc dispatch costs more on every
+call, takes with ``mode="clip"`` (the indices are valid, and the
+default mode buffers ``out``), broadcasts no operand it can avoid, and
+calls no function that wraps a ufunc or method in Python.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .qubo import (
     QuboMatrix,
     Sample,
     SampleSet,
-    _lowest_tied,
     _state_bits,
 )
 
@@ -335,16 +338,21 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     bit's threshold ``t`` becomes ``nextafter(-t, inf)``
     (:func:`_fold_set_bits`): a variable is updated once per sweep, so its
     bit at the sweep's start is its bit at its step.  A step is then three
-    calls on views and scratch built once per block: the fields
-    ``couplings @ states + linear`` and the new bits ``field <
-    threshold``.  That is the Metropolis test ``x XOR ((1 - 2x) * field <
-    t)`` for every field but NaN.  A NaN field, which only BLAS sums
-    overflowing to opposite infinities give, clears a set bit, which that
-    test would keep.  The thresholds are drawn a tile of sweeps at a time
-    into one buffer of at most ``_SA_TILE_ELEMENTS`` (2 MiB; one sweep of
-    the block if that is larger), and the tile's sweeps run before the
-    next tile is drawn, so memory does not grow with ``sweeps_per_read``.
-    Like the read blocks, the tiles do not change the output.
+    calls on views and scratch built once per block, each given its output
+    by position: the fields ``np.dot(couplings, states)``, plus
+    ``linear``, and the new bits ``field < threshold``.  That is the
+    Metropolis test ``x XOR ((1 - 2x) * field < t)`` for every field but
+    NaN.  A NaN field, which only BLAS sums overflowing to opposite
+    infinities give, clears a set bit, which that test would keep.  The
+    tests check the samples against a step that computes the fields with
+    ``@``, also at one-variable levels and one-read blocks, the shapes for
+    which a BLAS may pick a matrix-vector routine.
+
+    The thresholds are drawn a tile of sweeps at a time into one buffer of
+    at most ``_SA_TILE_ELEMENTS`` (2 MiB; one sweep of the block if that
+    is larger), and the tile's sweeps run before the next tile is drawn,
+    so memory does not grow with ``sweeps_per_read``.  Like the read
+    blocks, the tiles do not change the output.
     """
     t0 = time.perf_counter()
     n = q.n_vars
@@ -377,6 +385,9 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
             )
             for a, b in runs
         ]
+        # np.dot skips the gufunc dispatch np.matmul pays on every call, and
+        # ufuncs take ``out`` by position faster than by keyword.
+        dot, add, less = np.dot, np.add, np.less
         tile_sweeps = min(p.sweeps_per_read, max(1, _SA_TILE_ELEMENTS // (n * block)))
         # Read-major, so each read's draws land in place: tile[row, s, v]
         # belongs to variable v in the tile's sweep s.
@@ -395,9 +406,9 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
                 thresholds[:, sweep].T.take(order, axis=0, out=sweep_thresholds)
                 _fold_set_bits(state_bits, threshold_bits, set_bit, sign_bit)
                 for couplings, linear, x, threshold, field in block_steps:
-                    np.matmul(couplings, states, out=field)
-                    field += linear
-                    np.less(field, threshold, out=x)
+                    dot(couplings, states, field)
+                    add(field, linear, field)
+                    less(field, threshold, x)
         final = np.empty_like(starts)
         final[:, order] = states.T
         return final
@@ -423,12 +434,20 @@ def _tabu_walks(
     A flip of ``v`` with old sign ``s`` adds ``s * sym[v]`` to the fields:
     O(n) per move instead of a matrix-vector product.
 
-    A row's energy and its bar, best - ``ENERGY_EPS``, are ``(rows, 1)``
-    columns.  Blocked moves' candidates become inf in place, which leaves
-    the chosen move's candidate, its new energy, as it was, and a move
-    improves exactly when it aspires.  Rows are checked for stalling, and
-    the ``(rows, n)`` scratch is rebuilt, only at the first iteration at
-    which one can have stalled out.
+    Blocked moves' candidates become inf in place, which leaves the chosen
+    move's candidate, its new energy, as it was, and a move improves
+    exactly when it aspires.  The tie rule picks the move: the lowest
+    variable whose candidate is within ``ENERGY_EPS`` of the row's lowest.
+    The lowest is the candidate at the row's argmin, which is NaN when any
+    candidate is; then nothing ties and variable 0 moves.
+
+    Each per-row value, the energy and the chosen move's index, sign and
+    outcome, is a ``(rows, 1)`` column.  Each row's bar, best -
+    ``ENERGY_EPS``, fills its row of a ``(rows, n)`` array, refreshed only
+    on improvement, so the aspiration test broadcasts nothing.  Rows are
+    checked for stalling, and the scratch is rebuilt, only at the first
+    iteration at which one can have stalled out.  Until then an untraced
+    iteration that improves no row allocates nothing.
     """
     n = q.n_vars
     energy = (_quadratic_forms(starts, q.upper) + q.offset)[:, None]
@@ -438,51 +457,66 @@ def _tabu_walks(
     best = np.empty_like(starts)
     best_sign = sign.copy()
     # Aspiration and improvement both need a move below best - ENERGY_EPS.
-    bar = energy - ENERGY_EPS
+    bar = np.repeat(energy - ENERGY_EPS, n, axis=1)
     tabu_until = np.zeros(sign.shape, dtype=np.int64)
     improved_at = np.zeros(len(reads), dtype=np.int64)
     iteration = 0
     while rows.size:
         # ``improved_at`` only grows, so no row can stall out before
         # ``stop``; there the stalled rows, if any, drop.
-        row_starts = np.arange(0, sign.size, n)
+        row_starts = np.arange(0, sign.size, n)[:, None]
         candidate, gathered = np.empty_like(sign), np.empty_like(sign)
-        aspiration, blocked = np.empty(sign.shape, dtype=bool), np.empty(sign.shape, dtype=bool)
+        # sym.take of (rows, 1) indices writes its rows into this view.
+        gathered_rows = gathered[:, None]
+        aspiration, blocked, tied = (np.empty(sign.shape, dtype=bool) for _ in range(3))
+        v, flat = np.empty(energy.shape, dtype=np.intp), np.empty(energy.shape, dtype=np.intp)
+        bound, old, new = (np.empty_like(energy) for _ in range(3))
+        improved = np.empty(energy.shape, dtype=bool)
         stop = int(improved_at.min()) + max_stall
         while iteration < stop:
             iteration += 1
-            np.multiply(sign, field, out=candidate)
-            candidate += energy
-            np.less(candidate, bar, out=aspiration)
+            np.multiply(sign, field, candidate)
+            np.add(candidate, energy, candidate)
+            np.less(candidate, bar, aspiration)
             # Blocked: tabu and not aspiring (on bools, a > b is a and not b).
-            np.greater_equal(tabu_until, iteration, out=blocked)
-            np.greater(blocked, aspiration, out=blocked)
+            np.greater_equal(tabu_until, iteration, blocked)
+            np.greater(blocked, aspiration, blocked)
             # At most ``tenure`` variables are tabu at once, so only a tenure
             # of n or more can block every move of a row.
             if tenure >= n:
                 blocked[blocked.all(axis=1)] = False
             # The chosen move is not blocked, so its candidate stays its energy.
             np.putmask(candidate, blocked, np.inf)
-            v = _lowest_tied(candidate)
-            flat = row_starts + v
+            # ``flat`` first holds the flat index of each row's lowest candidate.
+            candidate.argmin(1, flat, keepdims=True)
+            np.add(flat, row_starts, flat)
+            candidate.take(flat, out=bound, mode="clip")
+            np.add(bound, ENERGY_EPS, bound)
+            np.less_equal(candidate, bound, tied)
+            tied.argmax(1, v, keepdims=True)
+            np.add(v, row_starts, flat)
             if moves is not None:
                 read = (rows + reads.start).tolist()
-                was_tabu = (tabu_until.take(flat) >= iteration).tolist()
-                aspired = aspiration.take(flat).tolist()
-                moves.extend(zip(read, [iteration] * len(read), v.tolist(), was_tabu, aspired))
-            old = sign.take(flat)
-            sym.take(v, axis=0, out=gathered)
-            gathered *= old[:, None]
-            field += gathered
-            sign.put(flat, -old)
+                was_tabu = (tabu_until.take(flat) >= iteration).ravel().tolist()
+                aspired = aspiration.take(flat).ravel().tolist()
+                moves.extend(
+                    zip(read, [iteration] * len(read), v.ravel().tolist(), was_tabu, aspired)
+                )
+            sign.take(flat, out=old, mode="clip")
+            sym.take(v, axis=0, out=gathered_rows, mode="clip")
+            np.multiply(gathered, old, gathered)
+            np.add(field, gathered, field)
+            np.negative(old, new)
+            sign.put(flat, new)
             tabu_until.put(flat, iteration + tenure)
-            energy = candidate.take(flat)[:, None]
+            candidate.take(flat, out=energy, mode="clip")
             # A move improves exactly when it aspires.
-            improved = aspiration.take(flat)
+            aspiration.take(flat, out=improved, mode="clip")
             if np.count_nonzero(improved):
-                bar[improved] = energy[improved] - ENERGY_EPS
-                best_sign[improved] = sign[improved]
-                improved_at[improved] = iteration
+                hit = improved[:, 0]
+                bar[hit] = energy[hit] - ENERGY_EPS
+                best_sign[hit] = sign[hit]
+                improved_at[hit] = iteration
         done = improved_at <= iteration - max_stall
         best[rows[done]] = best_sign[done] < 0
         keep = ~done

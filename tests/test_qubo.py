@@ -346,6 +346,23 @@ class TestJsonInterchange:
         with pytest.raises(error):
             sampleset_from_json(text)
 
+    @pytest.mark.parametrize(
+        "records,message",
+        [
+            ([("01", 0), ("10", -3)], "read_index 0 "),
+            ([("01", 2), ("10", 1), ("11", 2)], "read_index 2 "),
+            ([("", 1), ("", 2)], r"widths \[0\]"),
+        ],
+        ids=["non-positive-read-index", "repeated-read-index", "zero-width-bits"],
+    )
+    def test_sampleset_rejects_bad_reads(self, records, message):
+        # Each would load into a set whose first_optimum_read answers a
+        # read that was never produced, or whose best sample has no bits.
+        samples = [{"bits": bits, "energy": -1.0, "read_index": r} for bits, r in records]
+        text = json.dumps({"solver": "tabu", "samples": samples})
+        with pytest.raises(DimensionError, match=message):
+            sampleset_from_json(text)
+
     @pytest.mark.parametrize("params", [None, {}, {"seed": 1}])
     def test_sampleset_params_object_or_null(self, params):
         text = json.dumps({"solver": "tabu", "params": params, "samples": []})

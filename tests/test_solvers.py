@@ -883,6 +883,30 @@ class TestMatchesSevenCallStep:
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize("num_reads", [1, 4])
+    def test_one_variable_levels(self, num_reads):
+        # A dense QUBO has a level per variable, so each step's product is
+        # one coupling row times the block's states.
+        params = SamplerParams(num_reads=num_reads, seed=3, sweeps_per_read=25)
+        self.assert_same(dense_qubo(), params)
+
+    @pytest.mark.parametrize(
+        "make", [planted_qubo, lambda: noisy_loop_qubo(30, 8), dense_qubo],
+        ids=["loop-5x4", "loop-30x8", "dense"],
+    )
+    def test_one_read(self, make):
+        # Each step's product is a level's coupling rows times one column.
+        self.assert_same(make(), SamplerParams(num_reads=1, seed=5, sweeps_per_read=20))
+
+    @pytest.mark.parametrize("name", ["loop-5x4", "sparse-30", "dense"])
+    def test_one_read_blocks(self, monkeypatch, name):
+        # The sweeps of one read fill the block budget, so each of the
+        # three blocks holds one read.
+        q = TestLevelOrderedSweeps.QUBOS[name]()
+        params = SamplerParams(num_reads=3, seed=2, sweeps_per_read=25)
+        monkeypatch.setattr(solvers, "_SA_BLOCK_ELEMENTS", params.sweeps_per_read * q.n_vars)
+        self.assert_same(q, params)
+
     @staticmethod
     def assert_same(q, params):
         result, reference = sample_sa(q, params), seven_call_sa(q, params)
@@ -930,6 +954,70 @@ def sequential_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
     return finals, trace, all_tabu
 
 
+def one_read_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
+    """Final bits and trace of each read of a one-read tabu walk in numpy.
+
+    The walk of ``sequential_tabu``, one read at a time, with the n deltas
+    of an iteration taken as ``sign * field`` from local fields that each
+    flip updates, as ``sample_tabu`` keeps them, so sums that leave the
+    float range give the same infinities and NaNs.  Blocked candidates
+    become inf.  A NaN candidate is the lowest, so no candidate ties with
+    it and variable 0 moves, even when blocked; ``sequential_tabu``, whose
+    ``min`` skips NaNs, cannot take that step.  Also counts those moves.
+    An iteration is a dozen numpy calls on n values where
+    ``sequential_tabu`` makes n Python calls, so a walk at 240 variables
+    stays short enough for the test suite.
+    """
+    eps = solvers.ENERGY_EPS
+    n = q.n_vars
+    tenure = p.effective_tenure(n)
+    diag, sym = q.symmetric_parts()
+    finals, trace, nan_moves = [], [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for read_index in range(1, p.num_reads + 1):
+            rng = np.random.default_rng(p.seed ^ read_index)
+            x = rng.integers(0, 2, size=n).astype(float)
+            energy = q.energy(x)
+            field = diag + sym @ x
+            best_x, best_energy = x.copy(), energy
+            tabu_until = np.zeros(n, dtype=np.int64)
+            iteration = stall = 0
+            while stall < 50 * n:
+                iteration += 1
+                sign = 1.0 - 2.0 * x
+                candidates = sign * field + energy
+                aspiration = candidates < best_energy - eps
+                allowed = (tabu_until < iteration) | aspiration
+                if not allowed.any():
+                    allowed[:] = True
+                candidates[~allowed] = np.inf
+                lowest = candidates.min()
+                nan_moves += math.isnan(lowest)
+                v = int(np.argmax(candidates <= lowest + eps))
+                trace.append(
+                    (read_index, iteration, v, bool(tabu_until[v] >= iteration), bool(aspiration[v]))
+                )
+                field += sign[v] * sym[v]
+                x[v] = 1.0 - x[v]
+                energy = candidates[v]
+                tabu_until[v] = iteration + tenure
+                if aspiration[v]:
+                    best_x, best_energy, stall = x.copy(), energy, 0
+                else:
+                    stall += 1
+            finals.append(tuple(int(b) for b in best_x))
+    return finals, trace, nan_moves
+
+
+def descending_qubo(n: int) -> QuboMatrix:
+    """Every coefficient -1e308: any two set bits sum below -max float."""
+    q = QuboMatrix(n)
+    for i in range(n):
+        for j in range(i, n):
+            q.add_coefficient(i, j, -1e308)
+    return q
+
+
 class TestTabuMatchesSequentialWalk:
     CASES = {
         "planted": (planted_qubo, SamplerParams(num_reads=3, seed=4)),
@@ -937,6 +1025,15 @@ class TestTabuMatchesSequentialWalk:
         "dense": (dense_qubo, SamplerParams(num_reads=4, seed=2)),
         "sparse-30": (lambda: sparse_qubo(30, 0.1, seed=1), SamplerParams(num_reads=2, seed=3)),
         "all-tabu": (dense_qubo, SamplerParams(num_reads=4, seed=2, tabu_tenure=8)),
+        # Integer coefficients: many moves tie exactly at the minimum.
+        "integer-sparse": (
+            lambda: mapped_qubo(sparse_qubo(12, 0.4, seed=6), np.round),
+            SamplerParams(num_reads=3, seed=5),
+        ),
+        "integer-loop": (
+            lambda: mapped_qubo(planted_qubo(), lambda c: np.round(4 * c)),
+            SamplerParams(num_reads=3, seed=6),
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -950,6 +1047,48 @@ class TestTabuMatchesSequentialWalk:
         assert trace == expected_trace
         if name == "all-tabu":
             assert all_tabu > 0  # the fallback ran
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_read_reference_is_the_sequential_walk(self, name):
+        make, params = self.CASES[name]
+        q = make()
+        assert one_read_tabu(q, params)[:2] == sequential_tabu(q, params)[:2]
+
+    def test_bits_and_trace_at_240_variables(self):
+        # Two lock-step rows whose reads stall out one iteration apart.
+        q, params = noisy_loop_qubo(30, 8), SamplerParams(num_reads=2, seed=9)
+        bits, expected_trace, _ = one_read_tabu(q, params)
+        trace: list = []
+        result = sample_tabu(q, params, trace=trace)
+        assert [s.bits for s in result.samples] == bits
+        assert trace == expected_trace
+        assert {read: iteration for read, iteration, *_ in trace} == {1: 12116, 2: 12117}
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (4, 2), (6, 0), (6, 3)])
+    def test_overflowing_descent_names_the_reference_read(self, n, seed):
+        q, params = descending_qubo(n), SamplerParams(num_reads=4, seed=seed)
+        bits, expected_trace, nan_moves = one_read_tabu(q, params)
+        assert nan_moves > 0  # some iteration's lowest allowed candidate was NaN
+        # sample_tabu raises before it returns a trace, so walk its block here.
+        reads = range(1, params.num_reads + 1)
+        starts = np.array(
+            [np.random.default_rng(params.seed ^ r).integers(0, 2, size=n) for r in reads],
+            dtype=float,
+        )
+        moves: list = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            solvers._tabu_walks(
+                q, *q.symmetric_parts(), reads, starts, params.effective_tenure(n), 50 * n, moves
+            )
+        assert sorted(moves) == expected_trace
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = [q.energy(b) for b in bits]
+        read = next(r for r, e in enumerate(energies, 1) if not math.isfinite(e))
+        expected = f"energy of read {read} at state {bits[read - 1]} is {energies[read - 1]}: "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=re.escape(expected)):
+                sample_tabu(q, params)
 
     def test_rounding_tie_takes_lowest_index(self):
         # Flipping bit 0 or bit 1 up costs -0.3; bit 1's sum rounds 5.6e-17
