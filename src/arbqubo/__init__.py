@@ -39,7 +39,6 @@ from .model import (
     decode,
     default_weights,
     encode_loop,
-    model_from_json,
     model_to_json,
     profitability,
     var_index,
@@ -50,9 +49,7 @@ from .qubo import (
     QuboMatrix,
     Sample,
     SampleSet,
-    qubo_from_json,
     qubo_to_json,
-    sampleset_from_json,
     sampleset_to_json,
 )
 from .rates import (

@@ -18,16 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 from .errors import DimensionError, ModelError, ParamError, WrongOrdering
-from .qubo import (
-    ENERGY_EPS,
-    QuboMatrix,
-    SampleSet,
-    _json_float,
-    _json_int,
-    _json_loads,
-    _json_records,
-    _json_str,
-)
+from .qubo import ENERGY_EPS, QuboMatrix, SampleSet
 from .solvers import (
     EXACT_SOLVER_NAME,
     SA_SOLVER_NAME,
@@ -132,33 +123,26 @@ def _optional_int(text: str) -> int | None:
     return None if text == "" else int(text)
 
 
-def _json_optional_int(value, what: str) -> int | None:
-    return None if value is None else _json_int(value, what)
-
-
 def _finite_float(text: str) -> float:
-    """A CSV cell's number, held to the JSON reader's finite check."""
-    return _json_float(float(text), "cell")
+    """A CSV cell's number; ``nan``, ``inf`` or one past the float range
+    is a :class:`ModelError`."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ModelError(f"cell must be a finite number in the float range, got {value!r}")
+    return value
 
 
-#: Per annotated field type, the parser of a CSV cell's text and the
-#: checker of a JSON value: JSON values are never parsed from strings.
+#: The parser of a CSV cell's text, per annotated field type.
 _CSV_PARSERS = {"str": str, "int": int, "float": _finite_float, "int | None": _optional_int}
-_JSON_PARSERS = {
-    "str": _json_str,
-    "int": _json_int,
-    "float": _json_float,
-    "int | None": _json_optional_int,
-}
 
 
-def _schema(row_type, parsers) -> list[tuple[str, Callable]]:
+def _schema(row_type) -> list[tuple[str, Callable]]:
     """(column, parser) per field of the dataclass ``row_type``, in order."""
-    return [(f.name, parsers[f.type]) for f in fields(row_type)]
+    return [(f.name, _CSV_PARSERS[f.type]) for f in fields(row_type)]
 
 
 #: Report columns are the BenchRow fields, in order.
-_REPORT_SCHEMA = _schema(BenchRow, _CSV_PARSERS)
+_REPORT_SCHEMA = _schema(BenchRow)
 
 REPORT_COLUMNS = [name for name, _ in _REPORT_SCHEMA]
 
@@ -296,16 +280,9 @@ def emit_report(r: BenchReport, fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
-def load_report(data: bytes, fmt: str = "csv") -> BenchReport:
-    """Read :func:`emit_report`'s bytes back; a malformed report is a typed error."""
-    if fmt == "csv":
-        rows = _read_csv(data, _REPORT_SCHEMA, "report")
-    elif fmt == "json":
-        records = _json_records(_json_loads(data, "report"), REPORT_COLUMNS, "report row")
-        schema = _schema(BenchRow, _JSON_PARSERS)
-        rows = [{name: parse(rec[name], name) for name, parse in schema} for rec in records]
-    else:
-        raise ValueError(f"unknown report format: {fmt!r}")
+def load_report(data: bytes) -> BenchReport:
+    """Read :func:`emit_report`'s CSV bytes back; a malformed report is a typed error."""
+    rows = _read_csv(data, _REPORT_SCHEMA, "report")
     return BenchReport(rows=[BenchRow(**row) for row in rows])
 
 
@@ -322,7 +299,7 @@ class TimingLogRow:
 
 def load_timing_log(data: bytes) -> list[TimingLogRow]:
     """Parse an external access-time log: system, num_reads, batch, time."""
-    schema = _schema(TimingLogRow, _CSV_PARSERS)
+    schema = _schema(TimingLogRow)
     return [TimingLogRow(**row) for row in _read_csv(data, schema, "timing log")]
 
 

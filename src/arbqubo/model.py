@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ModelError, NotFeasible
-from .qubo import QuboMatrix, _json_float, _json_int, _json_loads, _json_object, _json_str
+from .qubo import QuboMatrix
 from .rates import LogWeightMatrix, RateMatrix, cycle_product
 
 MULTIPLE_IN_POSITION = "MultipleInPosition"
@@ -283,7 +283,7 @@ def canonical_rotation(loop) -> list[int]:
     return list(best) + [best[0]]
 
 
-# -- model description interchange -------------------------------------------
+# -- model description output ------------------------------------------------
 
 
 def model_to_json(
@@ -298,20 +298,3 @@ def model_to_json(
             "labels": list(labels),
         }
     )
-
-
-def model_from_json(text: str) -> tuple[ProblemShape, HamiltonianWeights, list[str]]:
-    """Read :func:`model_to_json`'s text back; a field of the wrong JSON
-    type, or labels that are not a list of one per currency, is a typed error."""
-    keys = ("n_currencies", "loop_length", "weights", "labels")
-    obj = _json_object(_json_loads(text, "model"), keys, "model")
-    n, k = (_json_int(obj[key], key) for key in keys[:2])
-    shape = ProblemShape(n, k)
-    wts = _json_object(obj["weights"], [f.name for f in fields(HamiltonianWeights)], "weights")
-    weights = HamiltonianWeights(
-        **{f.name: _json_float(wts[f.name], f.name) for f in fields(HamiltonianWeights)}
-    )
-    labels = obj["labels"]
-    if not (isinstance(labels, list) and len(labels) == n):
-        raise DimensionError(f"labels must be a list of {n}, got {labels!r}")
-    return shape, weights, [_json_str(label, "label") for label in labels]

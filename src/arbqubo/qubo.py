@@ -27,8 +27,8 @@ from .errors import DimensionError, ModelError, TooLarge
 ENERGY_EPS = 1e-9
 
 # Dense storage costs 8 * n_vars^2 bytes, 128 MiB here.  ``n_vars`` comes
-# from a QUBO file or a rates file's N times the loop length, so a larger
-# one fails before numpy is asked for gigabytes.
+# from a rates file's N times the loop length, so a larger one fails before
+# numpy is asked for gigabytes.
 QUBO_MAX_VARS = 4096
 
 
@@ -206,65 +206,7 @@ class SampleSet:
         return len(self.samples)
 
 
-# -- JSON interchange ----------------------------------------------------------
-#
-# The readers are strict: a size, index or value of the wrong JSON type, or a
-# non-finite number, is a typed error, never truncated or parsed from a string.
-
-
-def _json_loads(text: str | bytes, what: str):
-    """The value that JSON ``text`` (bytes: UTF-8) holds; text that is not
-    JSON is a :class:`DimensionError`."""
-    try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise DimensionError(f"{what} is not valid JSON: {exc}") from None
-
-
-def _json_object(value, keys, what: str) -> dict:
-    """``value`` if it is a JSON object holding every key in ``keys``;
-    anything else is a :class:`DimensionError`."""
-    if not isinstance(value, dict):
-        raise DimensionError(f"{what} must be a JSON object, got {type(value).__name__}")
-    missing = [key for key in keys if key not in value]
-    if missing:
-        raise DimensionError(f"{what} lacks key {missing[0]!r}")
-    return value
-
-
-def _json_records(values, keys, what: str) -> list[dict]:
-    """``values`` if it is a JSON list of objects that each hold every key
-    in ``keys``; anything else is a :class:`DimensionError`."""
-    if not isinstance(values, list):
-        raise DimensionError(f"{what}s must be a JSON list, got {type(values).__name__}")
-    return [_json_object(value, keys, what) for value in values]
-
-
-def _json_int(value, what: str) -> int:
-    """``value`` if JSON gave an integer; a bool or a float is a :class:`DimensionError`."""
-    if type(value) is not int:
-        raise DimensionError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_float(value, what: str) -> float:
-    """``value`` as a float if JSON gave a finite number that fits one;
-    anything else, a string, ``NaN``, ``Infinity`` or an integer past the
-    float range, is a :class:`ModelError`."""
-    if type(value) in (int, float):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer literal past the float range
-            pass
-    raise ModelError(f"{what} must be a finite number in the float range, got {value!r}")
-
-
-def _json_str(value, what: str) -> str:
-    """``value`` if JSON gave a string; anything else is a :class:`DimensionError`."""
-    if type(value) is not str:
-        raise DimensionError(f"{what} must be a string, got {value!r}")
-    return value
+# -- JSON output -------------------------------------------------------------
 
 
 def qubo_to_json(q: QuboMatrix) -> str:
@@ -272,26 +214,6 @@ def qubo_to_json(q: QuboMatrix) -> str:
     i, j = np.nonzero(q.upper)
     terms = list(zip(i.tolist(), j.tolist(), q.upper[i, j].tolist()))
     return json.dumps({"n_vars": q.n_vars, "offset": q.offset, "terms": terms})
-
-
-def qubo_from_json(text: str) -> QuboMatrix:
-    obj = _json_object(_json_loads(text, "QUBO"), ("n_vars", "terms"), "QUBO")
-    n_vars = _json_int(obj["n_vars"], "n_vars")
-    q = QuboMatrix(n_vars, offset=_json_float(obj.get("offset", 0.0), "offset"))
-    terms = obj["terms"]
-    if not (isinstance(terms, list) and all(isinstance(t, list) and len(t) == 3 for t in terms)):
-        raise DimensionError("terms must be a list of [i, j, value] triples")
-    terms = [
-        [_json_int(i, "term index"), _json_int(j, "term index"), _json_float(v, "term value")]
-        for i, j, v in terms
-    ]
-    # Object dtype keeps each index as JSON gave it, for range checks and messages.
-    i, j, v = np.array(terms, dtype=object).reshape(-1, 3).T
-    lower = np.flatnonzero(i > j)
-    if lower.size:
-        t = lower[0]
-        raise DimensionError(f"term ({i[t]},{j[t]}) is not upper-triangular")
-    return q.add_terms(i, j, v)
 
 
 def sampleset_to_json(s: SampleSet) -> str:
@@ -306,41 +228,4 @@ def sampleset_to_json(s: SampleSet) -> str:
     ]
     return json.dumps(
         {"solver": s.solver_name, "params": s.params, "timing": s.timing, "samples": samples}
-    )
-
-
-def _record_bits(bits) -> tuple[int, ...]:
-    if type(bits) is not str or bits.strip("01"):
-        raise DimensionError(f"bits must be a string of 0s and 1s, got {bits!r}")
-    return tuple(map(int, bits))
-
-
-def sampleset_from_json(text: str) -> SampleSet:
-    obj = _json_object(_json_loads(text, "sample set"), ("solver", "samples"), "sample set")
-    records = _json_records(obj["samples"], ("bits", "energy", "read_index"), "sample record")
-    samples = [
-        Sample(
-            bits=_record_bits(rec["bits"]),
-            energy=_json_float(rec["energy"], "energy"),
-            read_index=_json_int(rec["read_index"], "read_index"),
-        )
-        for rec in records
-    ]
-    widths = {len(smp.bits) for smp in samples}
-    if len(widths) > 1 or 0 in widths:
-        raise DimensionError(f"samples have bit strings of widths {sorted(widths)}")
-    # Reads are numbered 1, 2, ... in production order; first-optimum
-    # analysis answers with these numbers.
-    seen = set()
-    for smp in samples:
-        if smp.read_index < 1 or smp.read_index in seen:
-            raise DimensionError(f"read_index {smp.read_index} is not a new index >= 1")
-        seen.add(smp.read_index)
-    timing = _json_object(obj.get("timing", {}), (), "timing")
-    params = obj.get("params")
-    return SampleSet(
-        samples=samples,
-        timing={k: _json_float(v, f"timing {k}") for k, v in timing.items()},
-        solver_name=_json_str(obj["solver"], "solver"),
-        params=None if params is None else _json_object(params, (), "params"),
     )

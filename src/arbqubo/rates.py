@@ -202,7 +202,7 @@ def _rates_from_csv(text: str) -> RateMatrix:
     if [h.strip().lower() for h in header] != CSV_HEADER:
         raise IncompleteMatrix(f"expected header {','.join(CSV_HEADER)!r}, got {header}")
 
-    labels: list[str] = []
+    index: dict[str, int] = {}  # label -> position, in first-appearance order
     entries: dict[tuple[str, str], float] = {}
     for row in reader:
         if not row or all(not c.strip() for c in row):
@@ -216,15 +216,15 @@ def _rates_from_csv(text: str) -> RateMatrix:
             raise InvalidRate(f"rate for {src}->{dst} is not a number: {raw!r}") from None
         if not math.isfinite(value) or value <= 0:
             raise InvalidRate(f"rate for {src}->{dst} must be positive, got {value}")
-        for label in (src, dst):
-            if label not in labels:
-                labels.append(label)
+        index.setdefault(src, len(index))
+        index.setdefault(dst, len(index))
         if (src, dst) in entries:
             raise DuplicateEntry(f"pair {src}->{dst} listed twice")
         if src == dst and value != 1.0:
             raise InvalidRate(f"self-rate for {src} must be 1, got {value}")
         entries[(src, dst)] = value
 
+    labels = list(index)
     n = len(labels)
     if n < 2:
         raise IncompleteMatrix(f"need at least 2 currencies, found {n}")

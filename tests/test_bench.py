@@ -7,6 +7,7 @@ Published reference data used here:
     the two hardware generations at 50/500/2000/4000 reads.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -266,46 +267,15 @@ class TestReportSerialization:
 
     def test_csv_round_trip(self):
         report = self.sample_report()
-        again = load_report(emit_report(report, "csv"), "csv")
+        again = load_report(emit_report(report, "csv"))
         assert again == report
 
     def test_json_csv_json_round_trip(self):
         report = self.sample_report()
-        as_json = emit_report(report, "json")
-        via_csv = emit_report(load_report(as_json, "json"), "csv")
-        back = load_report(via_csv, "csv")
-        assert back == report
-        assert emit_report(back, "json") == as_json
-
-    ROW = {
-        "solver": "tabu", "num_reads": 50, "batch": 1, "total_time_us": 2400.0,
-        "first_optimum_read": 1, "best_energy": -104.25, "optimal_energy": -104.25,
-    }
-
-    @pytest.mark.parametrize(
-        "data,error",
-        [
-            (b"nope", DimensionError),
-            (b"\xff", DimensionError),
-            (b'{"a": 1}', DimensionError),
-            (json.dumps([{"solver": "t"}]).encode(), DimensionError),
-            (json.dumps(["row"]).encode(), DimensionError),
-            (json.dumps([{**ROW, "num_reads": 3.7}]).encode(), DimensionError),
-            (json.dumps([{**ROW, "num_reads": "3"}]).encode(), DimensionError),
-            (json.dumps([{**ROW, "batch": True}]).encode(), DimensionError),
-            (json.dumps([{**ROW, "first_optimum_read": "1"}]).encode(), DimensionError),
-            (json.dumps([{**ROW, "solver": 5}]).encode(), DimensionError),
-            (json.dumps([{**ROW, "best_energy": "-1.5"}]).encode(), ModelError),
-        ],
-        ids=[
-            "not-json", "not-utf8", "object", "missing-keys", "string-row", "float-reads",
-            "string-reads", "bool-batch", "string-first-read", "number-solver",
-            "string-energy",
-        ],
-    )
-    def test_json_rejects_malformed_report(self, data, error):
-        with pytest.raises(error):
-            load_report(data, "json")
+        as_json = json.loads(emit_report(report, "json"))
+        back = load_report(emit_report(report, "csv"))
+        assert as_json == [dataclasses.asdict(row) for row in back.rows]
+        assert emit_report(back, "json") == emit_report(report, "json")
 
     HEADER = b"solver,num_reads,batch,total_time_us,first_optimum_read,best_energy,optimal_energy\n"
 
@@ -328,7 +298,7 @@ class TestReportSerialization:
     )
     def test_csv_rejects_malformed_report(self, data):
         with pytest.raises(DimensionError):
-            load_report(data, "csv")
+            load_report(data)
 
     @pytest.mark.parametrize("cell", [b"nan", b"inf", b"-inf", b"1e999"])
     @pytest.mark.parametrize(
@@ -338,11 +308,9 @@ class TestReportSerialization:
         cells = b"tabu,50,1,2400,1,-1,-1".split(b",")
         cells[column] = cell
         with pytest.raises(ModelError, match="report row 2"):
-            load_report(self.HEADER + b",".join(cells) + b"\n", "csv")
+            load_report(self.HEADER + b",".join(cells) + b"\n")
 
     def test_unknown_format_stays_value_error(self):
-        with pytest.raises(ValueError):
-            load_report(b"", "xml")
         with pytest.raises(ValueError):
             emit_report(BenchReport(), "xml")
 

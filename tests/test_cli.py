@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 usage/parameter error, 2 I/O failure,
 3 best sample infeasible.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -16,7 +17,6 @@ from arbqubo import (
     default_weights,
     ground_state,
     load_rates,
-    sampleset_from_json,
     solve_exact,
     to_log_weights,
 )
@@ -119,10 +119,27 @@ class TestSolve:
             ]
         )
         assert code == 0
-        stored = sampleset_from_json(sample_file.read_text())
-        assert stored.solver_name == "tabu"
-        assert len(stored) == 5
+        stored = json.loads(sample_file.read_text())
+        assert stored["solver"] == "tabu"
+        assert list(stored["params"]) == [
+            "num_reads", "seed", "tabu_tenure", "max_iterations_per_read",
+        ]
+        assert (stored["params"]["num_reads"], stored["params"]["seed"]) == (5, 1)
+        assert list(stored["timing"]) == ["wall_time_us"]
+        records = stored["samples"]
+        assert [rec["read_index"] for rec in records] == [1, 2, 3, 4, 5]
+        with open(rates, "rb") as fh:
+            w = to_log_weights(load_rates(fh, "csv"))
+        shape = ProblemShape(3, 4)
+        weights = default_weights(w, shape)
+        q = build_qubo(w, shape, weights)
+        for rec in records:
+            assert len(rec["bits"]) == q.n_vars and not rec["bits"].strip("01")
+            bits = [int(b) for b in rec["bits"]]
+            assert rec["energy"] == pytest.approx(q.energy(bits), rel=0, abs=qubo.ENERGY_EPS)
         model = json.loads(model_file.read_text())
+        assert (model["n_currencies"], model["loop_length"]) == (3, 4)
+        assert model["weights"] == dataclasses.asdict(weights)
         assert model["labels"] == ["USD", "EUR", "GBP"]
 
     def test_exact_out_round_trips_every_state(self, tmp_path, capsys):
@@ -133,18 +150,19 @@ class TestSolve:
         )
         assert code == 0
         printed = capsys.readouterr().out
-        stored = sampleset_from_json(sample_file.read_text())
-        assert stored.solver_name == "exact"
-        assert stored.params is None
-        assert list(stored.timing) == ["wall_time_us"]
+        stored = json.loads(sample_file.read_text())
+        assert stored["solver"] == "exact"
+        assert stored["params"] is None
+        assert list(stored["timing"]) == ["wall_time_us"]
         with open(rates, "rb") as fh:
             w = to_log_weights(load_rates(fh, "csv"))
         shape = ProblemShape(3, 4)
         q = build_qubo(w, shape, default_weights(w, shape))
         # The one optimum, the set that solve_exact returns.
         bits, energy = ground_state(q)
-        assert stored.samples == [Sample(bits, energy, read_index=1)]
-        assert solve_exact(q).samples == stored.samples
+        record = {"bits": "".join(map(str, bits)), "energy": energy, "read_index": 1}
+        assert stored["samples"] == [record]
+        assert solve_exact(q).samples == [Sample(bits, energy, read_index=1)]
         assert f"best energy: {energy!r}" in printed
 
     def test_oversized_qubo_is_usage_error(self, tmp_path, capsys, monkeypatch):

@@ -35,7 +35,6 @@ from arbqubo import (
     encode_loop,
     generate_consistent,
     ground_state,
-    model_from_json,
     model_to_json,
     plant_cycle,
     profitability,
@@ -419,16 +418,6 @@ class TestCanonicalRotation:
 
 
 class TestModelJson:
-    def test_round_trip(self):
-        shape = ProblemShape(5, 4)
-        w = to_log_weights(generate_consistent(5, seed=2))
-        weights = default_weights(w, shape)
-        text = model_to_json(shape, weights, ["A", "B", "C", "D", "E"])
-        shape2, weights2, labels = model_from_json(text)
-        assert shape2 == shape
-        assert weights2 == weights
-        assert labels == ["A", "B", "C", "D", "E"]
-
     def test_payload_fields(self):
         shape = ProblemShape(3, 4)
         text = model_to_json(shape, rate_only_weights(), ["X", "Y", "Z"])
@@ -436,46 +425,3 @@ class TestModelJson:
         assert obj["n_currencies"] == 3
         assert obj["loop_length"] == 4
         assert set(obj["weights"]) == {"rate", "one_hot", "endpoint", "consecutive", "fill"}
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("n_currencies", 3.9),
-            ("loop_length", True),
-            ("weights", {"rate": "1.0"}),
-            ("labels", "XYZ"),
-            ("labels", ["X", "Y"]),
-            ("labels", [1, None, [2]]),
-            ("weights", {"fill": math.nan}),
-        ],
-        ids=[
-            "float-size", "bool-size", "string-weight", "string-labels", "short-labels",
-            "non-string-labels", "nan-weight",
-        ],
-    )
-    def test_rejects_mistyped_fields(self, field, value):
-        text = model_to_json(ProblemShape(3, 4), rate_only_weights(), ["X", "Y", "Z"])
-        obj = json.loads(text)
-        if field == "weights":
-            obj["weights"].update(value)
-        else:
-            obj[field] = value
-        error = ModelError if field == "weights" else DimensionError
-        with pytest.raises(error):
-            model_from_json(json.dumps(obj))
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda obj: "nope",
-            lambda obj: json.dumps([obj]),
-            lambda obj: json.dumps({**obj, "weights": {}}),
-            lambda obj: json.dumps({**obj, "weights": [1.0]}),
-            lambda obj: json.dumps({k: v for k, v in obj.items() if k != "labels"}),
-        ],
-        ids=["not-json", "list", "empty-weights", "list-weights", "no-labels"],
-    )
-    def test_rejects_malformed_document(self, edit):
-        text = model_to_json(ProblemShape(3, 4), rate_only_weights(), ["X", "Y", "Z"])
-        with pytest.raises(DimensionError):
-            model_from_json(edit(json.loads(text)))

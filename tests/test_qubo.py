@@ -6,7 +6,6 @@ implementation it checks.
 """
 
 import json
-import math
 import warnings
 
 import numpy as np
@@ -19,9 +18,7 @@ from arbqubo import (
     Sample,
     SampleSet,
     TooLarge,
-    qubo_from_json,
     qubo_to_json,
-    sampleset_from_json,
     sampleset_to_json,
 )
 from arbqubo.qubo import QUBO_MAX_VARS
@@ -50,11 +47,6 @@ class TestSizeGuard:
     def test_rejects_more_variables_than_the_guard(self):
         with pytest.raises(TooLarge, match="dense QUBO guard"):
             QuboMatrix(QUBO_MAX_VARS + 1)
-
-    def test_json_size_is_checked_before_allocating(self):
-        # 10^8 variables would be an 80 PB matrix.
-        with pytest.raises(TooLarge):
-            qubo_from_json('{"n_vars": 100000000, "terms": []}')
 
     def test_guard_admits_its_own_size(self):
         assert QuboMatrix(QUBO_MAX_VARS).n_vars == QUBO_MAX_VARS
@@ -231,142 +223,12 @@ class TestEnergyDelta:
 
 
 class TestJsonInterchange:
-    def test_qubo_round_trip(self):
-        rng = np.random.default_rng(4)
-        q = random_qubo(rng, n=7)
-        again = qubo_from_json(qubo_to_json(q))
-        assert again == q
-
     def test_terms_are_upper_triangular(self):
         q = QuboMatrix(3, offset=0.5)
         q.add_coefficient(2, 0, 1.25)
         obj = json.loads(qubo_to_json(q))
         assert obj["terms"] == [[0, 2, 1.25]]
         assert obj["offset"] == 0.5
-
-    def test_rejects_lower_triangular_input(self):
-        with pytest.raises(DimensionError):
-            qubo_from_json('{"n_vars": 3, "offset": 0, "terms": [[2, 0, 1.0]]}')
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"n_vars": 2, "offset": NaN, "terms": []}',
-            '{"n_vars": 2, "offset": 0, "terms": [[0, 1, NaN]]}',
-            '{"n_vars": 2, "offset": 0, "terms": [[1, 1, -Infinity]]}',
-        ],
-    )
-    def test_rejects_non_finite_input(self, text):
-        with pytest.raises(ModelError):
-            qubo_from_json(text)
-
-    @pytest.mark.parametrize(
-        "text,error",
-        [
-            ('{"n_vars": 3.7, "terms": []}', DimensionError),
-            ('{"n_vars": true, "terms": []}', DimensionError),
-            ('{"n_vars": "3", "terms": []}', DimensionError),
-            ('{"n_vars": 3, "terms": [[1.5, 2, 1.0]]}', DimensionError),
-            ('{"n_vars": 3, "terms": [[true, 2, 1.0]]}', DimensionError),
-            ('{"n_vars": 3, "terms": [[0, 2]]}', DimensionError),
-            ('{"n_vars": 3, "terms": {"0": [0, 1, 1.0]}}', DimensionError),
-            ('{"n_vars": 3, "terms": [[0, 2, "2.5"]]}', ModelError),
-            ('{"n_vars": 3, "terms": [[0, 2, false]]}', ModelError),
-            ('{"n_vars": 3, "offset": "1", "terms": []}', ModelError),
-            ('{"n_vars": 3, "terms": [[0, 2, 1%s]]}' % ("0" * 400), ModelError),
-            ("{}", DimensionError),
-            ("[1]", DimensionError),
-            ("nope", DimensionError),
-            ('{"n_vars": 3}', DimensionError),
-        ],
-        ids=[
-            "float-size", "bool-size", "string-size", "float-index", "bool-index",
-            "short-term", "terms-object", "string-value", "bool-value", "string-offset",
-            "huge-int-value", "empty-object", "list", "not-json", "no-terms",
-        ],
-    )
-    def test_rejects_mistyped_input(self, text, error):
-        with pytest.raises(error):
-            qubo_from_json(text)
-
-    @pytest.mark.parametrize(
-        "record,error",
-        [
-            ({"bits": "012", "energy": 1.0, "read_index": 1}, DimensionError),
-            ({"bits": [0, 1], "energy": 1.0, "read_index": 1}, DimensionError),
-            ({"bits": "01", "energy": 1.0, "read_index": 1.0}, DimensionError),
-            ({"bits": "01", "energy": "1.0", "read_index": 1}, ModelError),
-            ({"bits": "01", "energy": math.nan, "read_index": 1}, ModelError),
-            ({"bits": "01", "energy": math.inf, "read_index": 1}, ModelError),
-            ({"bits": "01", "energy": -math.inf, "read_index": 1}, ModelError),
-        ],
-        ids=[
-            "digit-2", "list-bits", "float-read-index", "string-energy",
-            "nan-energy", "inf-energy", "minus-inf-energy",
-        ],
-    )
-    def test_sampleset_rejects_mistyped_records(self, record, error):
-        text = json.dumps({"solver": "tabu", "params": None, "timing": {}, "samples": [record]})
-        with pytest.raises(error):
-            sampleset_from_json(text)
-
-    @pytest.mark.parametrize(
-        "text,error",
-        [
-            ("nope", DimensionError),
-            (b"\xff", DimensionError),
-            ("[]", DimensionError),
-            ('{"samples": [{}]}', DimensionError),
-            ('{"solver": "tabu", "samples": [{}]}', DimensionError),
-            ('{"solver": "tabu", "samples": [{"bits": "01", "energy": 1.0}]}', DimensionError),
-            ('{"solver": "tabu", "samples": ["{\\"bits\\": \\"01\\"}"]}', DimensionError),
-            ('{"solver": "tabu", "samples": 5}', DimensionError),
-            ('{"solver": "tabu", "samples": [], "timing": []}', DimensionError),
-            ('{"solver": 5, "samples": []}', DimensionError),
-            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": "1.5"}}', ModelError),
-            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": true}}', ModelError),
-            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": "abc"}}', ModelError),
-            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": NaN}}', ModelError),
-            (
-                '{"solver": "tabu", "samples": [{"bits": "01", "energy": 1.0, "read_index": 1}, '
-                '{"bits": "0", "energy": 1.0, "read_index": 2}]}',
-                DimensionError,
-            ),
-            ('{"solver": "tabu", "samples": [], "params": 5}', DimensionError),
-            ('{"solver": "tabu", "samples": [], "params": [1]}', DimensionError),
-        ],
-        ids=[
-            "not-json", "not-utf8", "list", "no-solver", "empty-record", "no-read-index",
-            "string-record", "samples-number", "timing-list", "number-solver",
-            "string-timing", "bool-timing", "text-timing", "nan-timing", "mixed-widths",
-            "number-params", "list-params",
-        ],
-    )
-    def test_sampleset_rejects_malformed_document(self, text, error):
-        with pytest.raises(error):
-            sampleset_from_json(text)
-
-    @pytest.mark.parametrize(
-        "records,message",
-        [
-            ([("01", 0), ("10", -3)], "read_index 0 "),
-            ([("01", 2), ("10", 1), ("11", 2)], "read_index 2 "),
-            ([("", 1), ("", 2)], r"widths \[0\]"),
-        ],
-        ids=["non-positive-read-index", "repeated-read-index", "zero-width-bits"],
-    )
-    def test_sampleset_rejects_bad_reads(self, records, message):
-        # Each would load into a set whose first_optimum_read answers a
-        # read that was never produced, or whose best sample has no bits.
-        samples = [{"bits": bits, "energy": -1.0, "read_index": r} for bits, r in records]
-        text = json.dumps({"solver": "tabu", "samples": samples})
-        with pytest.raises(DimensionError, match=message):
-            sampleset_from_json(text)
-
-    @pytest.mark.parametrize("params", [None, {}, {"seed": 1}])
-    def test_sampleset_params_object_or_null(self, params):
-        text = json.dumps({"solver": "tabu", "params": params, "samples": []})
-        assert sampleset_from_json(text).params == params
 
     def test_sampleset_round_trip(self):
         s = SampleSet(
@@ -378,8 +240,15 @@ class TestJsonInterchange:
             solver_name="tabu",
             params={"num_reads": 2, "seed": 9},
         )
-        again = sampleset_from_json(sampleset_to_json(s))
-        assert again == s
+        assert json.loads(sampleset_to_json(s)) == {
+            "solver": "tabu",
+            "params": {"num_reads": 2, "seed": 9},
+            "timing": {"wall_time_us": 123.5},
+            "samples": [
+                {"bits": "011", "energy": -2.5, "read_index": 1},
+                {"bits": "100", "energy": 0.25, "read_index": 2},
+            ],
+        }
 
     def test_sampleset_json_shape(self):
         s = SampleSet(
@@ -399,6 +268,6 @@ class TestJsonInterchange:
         )
 
     def test_empty_sampleset_has_no_best(self):
-        s = sampleset_from_json('{"solver": "tabu", "samples": []}')
+        s = SampleSet(samples=[], timing={}, solver_name="tabu")
         with pytest.raises(DimensionError):
             s.best()

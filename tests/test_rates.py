@@ -46,6 +46,18 @@ class TestLoadRates:
         assert rm.rate[rm.index_of("EUR"), rm.index_of("GBP")] == 1.17
         assert rm.rate[rm.index_of("GBP"), rm.index_of("USD")] == 1.40
 
+    def test_labels_in_first_appearance_order(self):
+        text = (
+            b"from,to,rate\nGBP,USD,1.4\nUSD,EUR,0.85\nEUR,GBP,1.17\n"
+            b"USD,GBP,0.7\nEUR,USD,1.2\nGBP,EUR,0.8\n"
+        )
+        rm = load_rates(text, "csv")
+        assert rm.labels == ("GBP", "USD", "EUR")
+        assert rm.rate.tolist() == [[1.0, 1.4, 0.8], [0.7, 1.0, 0.85], [1.17, 1.2, 1.0]]
+        # Pairs are checked in label order, so the first missing one is named.
+        with pytest.raises(IncompleteMatrix, match="missing pair USD->GBP"):
+            load_rates(text.replace(b"USD,GBP,0.7\n", b"EUR,EUR,1\n"), "csv")
+
     def test_bytes_input_accepted(self):
         rm = load_rates(fig1_csv_bytes(), "csv")
         assert rm.n == 3
