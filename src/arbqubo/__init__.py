@@ -50,6 +50,7 @@ from .qubo import (
     Sample,
     SampleSet,
     qubo_to_json,
+    sampleset_from_json,
     sampleset_to_json,
 )
 from .rates import (

@@ -206,7 +206,65 @@ class SampleSet:
         return len(self.samples)
 
 
-# -- JSON output -------------------------------------------------------------
+# -- JSON interchange ----------------------------------------------------------
+#
+# The reader is strict: a size, index or value of the wrong JSON type, or a
+# non-finite number, is a typed error, never truncated or parsed from a string.
+
+
+def _json_loads(text: str | bytes, what: str):
+    """The value that JSON ``text`` (bytes: UTF-8) holds; text that is not
+    JSON is a :class:`DimensionError`."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DimensionError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _json_object(value, keys, what: str) -> dict:
+    """``value`` if it is a JSON object holding every key in ``keys``;
+    anything else is a :class:`DimensionError`."""
+    if not isinstance(value, dict):
+        raise DimensionError(f"{what} must be a JSON object, got {type(value).__name__}")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise DimensionError(f"{what} lacks key {missing[0]!r}")
+    return value
+
+
+def _json_records(values, keys, what: str) -> list[dict]:
+    """``values`` if it is a JSON list of objects that each hold every key
+    in ``keys``; anything else is a :class:`DimensionError`."""
+    if not isinstance(values, list):
+        raise DimensionError(f"{what}s must be a JSON list, got {type(values).__name__}")
+    return [_json_object(value, keys, what) for value in values]
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if JSON gave an integer; a bool or a float is a :class:`DimensionError`."""
+    if type(value) is not int:
+        raise DimensionError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(value, what: str) -> float:
+    """``value`` as a float if JSON gave a finite number that fits one;
+    anything else, a string, ``NaN``, ``Infinity`` or an integer past the
+    float range, is a :class:`ModelError`."""
+    if type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer literal past the float range
+            pass
+    raise ModelError(f"{what} must be a finite number in the float range, got {value!r}")
+
+
+def _json_str(value, what: str) -> str:
+    """``value`` if JSON gave a string; anything else is a :class:`DimensionError`."""
+    if type(value) is not str:
+        raise DimensionError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def qubo_to_json(q: QuboMatrix) -> str:
@@ -228,4 +286,41 @@ def sampleset_to_json(s: SampleSet) -> str:
     ]
     return json.dumps(
         {"solver": s.solver_name, "params": s.params, "timing": s.timing, "samples": samples}
+    )
+
+
+def _record_bits(bits) -> tuple[int, ...]:
+    if type(bits) is not str or bits.strip("01"):
+        raise DimensionError(f"bits must be a string of 0s and 1s, got {bits!r}")
+    return tuple(map(int, bits))
+
+
+def sampleset_from_json(text: str) -> SampleSet:
+    obj = _json_object(_json_loads(text, "sample set"), ("solver", "samples"), "sample set")
+    records = _json_records(obj["samples"], ("bits", "energy", "read_index"), "sample record")
+    samples = [
+        Sample(
+            bits=_record_bits(rec["bits"]),
+            energy=_json_float(rec["energy"], "energy"),
+            read_index=_json_int(rec["read_index"], "read_index"),
+        )
+        for rec in records
+    ]
+    widths = {len(smp.bits) for smp in samples}
+    if len(widths) > 1 or 0 in widths:
+        raise DimensionError(f"samples have bit strings of widths {sorted(widths)}")
+    # Reads are numbered 1, 2, ... in production order; first-optimum
+    # analysis answers with these numbers.
+    seen = set()
+    for smp in samples:
+        if smp.read_index < 1 or smp.read_index in seen:
+            raise DimensionError(f"read_index {smp.read_index} is not a new index >= 1")
+        seen.add(smp.read_index)
+    timing = _json_object(obj.get("timing", {}), (), "timing")
+    params = obj.get("params")
+    return SampleSet(
+        samples=samples,
+        timing={k: _json_float(v, f"timing {k}") for k, v in timing.items()},
+        solver_name=_json_str(obj["solver"], "solver"),
+        params=None if params is None else _json_object(params, (), "params"),
     )

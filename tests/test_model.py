@@ -418,6 +418,15 @@ class TestCanonicalRotation:
 
 
 class TestModelJson:
+    def test_round_trip(self):
+        shape = ProblemShape(5, 4)
+        w = to_log_weights(generate_consistent(5, seed=2))
+        weights = default_weights(w, shape)
+        obj = json.loads(model_to_json(shape, weights, ["A", "B", "C", "D", "E"]))
+        assert ProblemShape(obj["n_currencies"], obj["loop_length"]) == shape
+        assert HamiltonianWeights(**obj["weights"]) == weights
+        assert obj["labels"] == ["A", "B", "C", "D", "E"]
+
     def test_payload_fields(self):
         shape = ProblemShape(3, 4)
         text = model_to_json(shape, rate_only_weights(), ["X", "Y", "Z"])
