@@ -11,6 +11,7 @@ loop constraints.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -54,7 +55,12 @@ EXIT_INFEASIBLE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit 1 instead of argparse's 2."""
+    """ArgumentParser whose usage failures exit 1 instead of argparse's 2,
+    and which reads ``-1e3`` as a value, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,12 @@ from .errors import DimensionError, ModelError, TooLarge
 # Package-wide "same energy" tolerance.  Energies summed in different
 # orders differ in the last bits, and tabu's incremental energies drift by
 # ulps over long walks; differences below this are noise, and treating
-# them as progress would reset tabu's stall counter indefinitely.  It is
-# also the tie rule: candidates within it of the minimum tie, and the
-# lowest index wins -- the lowest variable for a tabu move
-# (``solvers._tabu_walks``), the lowest bits for a state -- so exact ties on
-# arbitrage-free markets do not hang on the last bits of a sum.
+# them as progress would reset tabu's stall counter indefinitely (where
+# ulps exceed it, tabu confirms small gains from scratch).  It is also
+# the tie rule: candidates within it of the minimum tie, and the lowest
+# index wins -- the lowest variable for a tabu move
+# (``solvers._tabu_walks``), the lowest bits for a state -- so exact ties
+# on arbitrage-free markets do not hang on the last bits of a sum.
 ENERGY_EPS = 1e-9
 
 # Dense storage costs 8 * n_vars^2 bytes, 128 MiB here.  ``n_vars`` comes
@@ -41,6 +43,10 @@ class QuboMatrix:
     loop QUBOs benchmarked here reach 240 variables, a 460 KB matrix) and
     capped at ``QUBO_MAX_VARS`` variables.  Coefficients and the offset
     must be finite, since one NaN or inf makes every energy meaningless.
+    Every solver first calls :meth:`check_energy_range`, which refuses a
+    sum ``S`` of coefficient and offset magnitudes at or past DBL_MAX/4,
+    even where every energy is finite (linear terms +1e308 and -1e308):
+    any sum a solver forms is at most ``2 * S``, so below it none overflows.
     """
 
     def __init__(self, n_vars: int, offset: float = 0.0):
@@ -131,6 +137,20 @@ class QuboMatrix:
 
     def max_abs_coefficient(self) -> float:
         return float(np.max(np.abs(self._coeff)))
+
+    def check_energy_range(self) -> float:
+        """``S = sum |upper| + |offset|``, once checked below DBL_MAX/4."""
+        # Scaled by 2^-26, the sum of at most 2^24 magnitudes stays finite.
+        magnitudes = np.abs(self._coeff)
+        magnitudes *= 2.0**-26
+        scaled = float(magnitudes.sum()) + abs(self.offset) * 2.0**-26
+        bound = sys.float_info.max * 2.0**-28  # DBL_MAX/4, scaled
+        if not scaled < bound:
+            raise ModelError(
+                f"coefficient and offset magnitudes sum to S = {scaled / bound:.4g} x "
+                "DBL_MAX/4; S must stay below DBL_MAX/4, or energies could overflow"
+            )
+        return scaled * 2.0**26
 
     def symmetric_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, symmetric off-diagonal coupling) for sampler inner loops."""

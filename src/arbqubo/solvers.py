@@ -20,21 +20,15 @@ energy's terms were summed.
 
 Both samplers vectorize across reads without changing what a read does.
 Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
-array each.  A row keeps the local fields ``diag + sym @ x`` of its state
-and updates them in O(n) per flip, so its n move deltas cost no
-matrix-vector product.  Tabu moves whose energies lie within
-``ENERGY_EPS`` of the best allowed one tie, and the lowest variable index
-wins (:func:`_tabu_walks`): rounding noise never picks the move.
-SA keeps its states variables-major and updates, in one step, each run of
-mutually uncoupled variables: the QUBO's sparsity pattern orders the
-variables into levels so that updating level after level is the
-sequential sweep (:func:`_level_runs`).  A dense QUBO degrades to one
-variable per step.  Once per sweep, each set bit's threshold takes the
-bit's sign (:func:`_fold_set_bits`), so a step is three calls: the
-fields by ``np.dot``, plus the linear terms, compared with the
-thresholds into the new bits.  SA draws its random thresholds a
-fixed-size tile of sweeps at a time, so its memory stays the same
-whatever the sweep count.
+array each, and updates a row's local fields in O(n) per flip; its tie
+rule keeps rounding noise from picking the move (:func:`_tabu_walks`).  SA
+updates each level of mutually uncoupled variables in one step of three
+calls (:func:`_level_runs`, :func:`_fold_set_bits`), and draws its
+thresholds a fixed-size tile of sweeps at a time.
+
+Every solver first refuses a QUBO whose coefficient and offset
+magnitudes sum to DBL_MAX/4 or more (``QuboMatrix.check_energy_range``):
+below that no sum a solver forms can overflow, so none meets inf or NaN.
 
 Both inner loops are bound by numpy's per-call cost, not by arithmetic,
 on arrays of a few rows.  So each step writes into buffers and views
@@ -156,15 +150,15 @@ def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
     """The first state of each chunk of the 2^n states, ascending, and the
     function computing the energies of the chunk that starts at one.
 
-    The size guard is checked on the call.  A state whose finite
-    coefficients sum past the float range has no energy to compare, so its
-    chunk raises :class:`ModelError`.  State ``s`` is a high half ``s >>
-    low`` over the first ``high`` variables and a low half over the last
-    ``low``, so its energy is ``E_hi[hi] + cross(hi, lo) + E_lo[lo]``.
+    The energy range and the size guard are checked on the call.  State
+    ``s`` is a high half ``s >> low`` over the first ``high`` variables and
+    a low half over the last ``low``, so its energy is ``E_hi[hi] +
+    cross(hi, lo) + E_lo[lo]``.
     The half energies and ``cross = upper[:high, high:] @ B_lo.T`` are
     computed once; a chunk then costs one small GEMM, ``B_hi @ cross``,
     plus two broadcast adds: O(2^n * high) instead of O(2^n * n^2).
     """
+    q.check_energy_range()
     if q.n_vars > EXACT_MAX_VARS:
         raise TooLarge(f"{q.n_vars} variables exceeds enumeration guard {EXACT_MAX_VARS}")
     n = q.n_vars
@@ -172,27 +166,17 @@ def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
     high = n - low
     upper = q.upper
     lo_bits, hi_bits = _bit_table(low), _bit_table(high)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_lo = _quadratic_forms(lo_bits, upper[high:, high:]) + q.offset
-        e_hi = _quadratic_forms(hi_bits, upper[:high, :high])
-        cross = upper[:high, high:] @ lo_bits.T
+    e_lo = _quadratic_forms(lo_bits, upper[high:, high:]) + q.offset
+    e_hi = _quadratic_forms(hi_bits, upper[:high, :high])
+    cross = upper[:high, high:] @ lo_bits.T
     rows = max(1, _ENUM_CHUNK >> low)
 
     def chunk(start: int) -> np.ndarray:
         block = slice(start >> low, (start >> low) + rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies = hi_bits[block] @ cross
-            energies += e_lo
-            energies += e_hi[block, None]
-        energies = energies.ravel()
-        # min and max propagate NaN and show +-inf without a mask array.
-        if not (math.isfinite(energies.min()) and math.isfinite(energies.max())):
-            state = start + int(np.argmin(np.isfinite(energies)))
-            raise ModelError(
-                f"energy of state {_state_bits(state, n)} is {energies[state - start]}: "
-                "the coefficients overflow the float range"
-            )
-        return energies
+        energies = hi_bits[block] @ cross
+        energies += e_lo
+        energies += e_hi[block, None]
+        return energies.ravel()
 
     return range(0, 1 << n, rows << low), chunk
 
@@ -247,28 +231,19 @@ def _sample_reads(
     execution order nor on the blocks.  ``walk(reads, starts, rngs)`` maps
     a block's ``(reads, n)`` start rows to its final rows.  Each final
     state is appended in read order at its energy evaluated from scratch,
-    free of the drift a walk's incremental updates accumulate.  A
-    non-finite energy means the coefficients overflow the float range:
-    :class:`ModelError`.  The params record is ``num_reads``, ``seed``,
-    then ``params``.
+    free of the drift a walk's incremental updates accumulate.  The params
+    record is ``num_reads``, ``seed``, then ``params``.
     """
+    q.check_energy_range()
     samples: list[Sample] = []
-    # Overflow inside a walk surfaces in the energy check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(1, p.num_reads + 1, block_reads):
-            reads = range(first, min(first + block_reads, p.num_reads + 1))
-            rngs = [np.random.default_rng(p.seed ^ r) for r in reads]
-            starts = np.array([rng.integers(0, 2, size=q.n_vars) for rng in rngs], dtype=float)
-            final = walk(reads, starts, rngs)
-            energies = _quadratic_forms(final, q.upper) + q.offset
-            states = [tuple(row) for row in final.astype(np.int64).tolist()]
-            for read_index, state, energy in zip(reads, states, energies.tolist()):
-                if not math.isfinite(energy):
-                    raise ModelError(
-                        f"energy of read {read_index} at state {state} is {energy}: "
-                        "the coefficients overflow the float range"
-                    )
-                samples.append(Sample(bits=state, energy=energy, read_index=read_index))
+    for first in range(1, p.num_reads + 1, block_reads):
+        reads = range(first, min(first + block_reads, p.num_reads + 1))
+        rngs = [np.random.default_rng(p.seed ^ r) for r in reads]
+        starts = np.array([rng.integers(0, 2, size=q.n_vars) for rng in rngs], dtype=float)
+        final = walk(reads, starts, rngs)
+        energies = _quadratic_forms(final, q.upper) + q.offset
+        states = [tuple(row) for row in final.astype(np.int64).tolist()]
+        samples.extend(map(Sample, states, energies.tolist(), reads))
     return SampleSet(
         samples=samples,
         timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
@@ -341,18 +316,10 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     calls on views and scratch built once per block, each given its output
     by position: the fields ``np.dot(couplings, states)``, plus
     ``linear``, and the new bits ``field < threshold``.  That is the
-    Metropolis test ``x XOR ((1 - 2x) * field < t)`` for every field but
-    NaN.  A NaN field, which only BLAS sums overflowing to opposite
-    infinities give, clears a set bit, which that test would keep.  The
-    tests check the samples against a step that computes the fields with
-    ``@``, also at one-variable levels and one-read blocks, the shapes for
-    which a BLAS may pick a matrix-vector routine.
-
-    The thresholds are drawn a tile of sweeps at a time into one buffer of
-    at most ``_SA_TILE_ELEMENTS`` (2 MiB; one sweep of the block if that
-    is larger), and the tile's sweeps run before the next tile is drawn,
-    so memory does not grow with ``sweeps_per_read``.  Like the read
-    blocks, the tiles do not change the output.
+    Metropolis test ``x XOR ((1 - 2x) * field < t)``.  The tests check
+    the samples against a step that computes the fields with ``@``, also
+    at one-variable levels and one-read blocks, the shapes for which a
+    BLAS may pick a matrix-vector routine.
     """
     t0 = time.perf_counter()
     n = q.n_vars
@@ -399,9 +366,10 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
                 rng.random(out=thresholds[row])
             # u < exp(-beta * max(delta, 0)) rewritten as delta < -ln(u) / beta;
             # the two disagree only where u is within rounding of the bound.
-            with np.errstate(divide="ignore"):
+            # u = 0, or a beta below about 2e-307, gives inf: always accept.
+            with np.errstate(divide="ignore", over="ignore"):
                 np.log(thresholds, out=thresholds)
-            thresholds /= -tile_betas[:, None]
+                thresholds /= -tile_betas[:, None]
             for sweep in range(len(tile_betas)):
                 thresholds[:, sweep].T.take(order, axis=0, out=sweep_thresholds)
                 _fold_set_bits(state_bits, threshold_bits, set_bit, sign_bit)
@@ -435,11 +403,11 @@ def _tabu_walks(
     O(n) per move instead of a matrix-vector product.
 
     Blocked moves' candidates become inf in place, which leaves the chosen
-    move's candidate, its new energy, as it was, and a move improves
-    exactly when it aspires.  The tie rule picks the move: the lowest
-    variable whose candidate is within ``ENERGY_EPS`` of the row's lowest.
-    The lowest is the candidate at the row's argmin, which is NaN when any
-    candidate is; then nothing ties and variable 0 moves.
+    move's candidate, its new energy, as it was.  The tie rule picks the
+    move: the lowest variable whose candidate is within ``ENERGY_EPS`` of
+    the row's lowest.  A move improves when it aspires, but a gain within
+    ``drift``, ulps of S over a stall window, of ``ENERGY_EPS`` may be
+    rounding drift: it must also beat the best state from scratch.
 
     Each per-row value, the energy and the chosen move's index, sign and
     outcome, is a ``(rows, 1)`` column.  Each row's bar, best -
@@ -450,6 +418,7 @@ def _tabu_walks(
     iteration that improves no row allocates nothing.
     """
     n = q.n_vars
+    drift = max_stall * 2.0**-50 * q.check_energy_range()
     energy = (_quadratic_forms(starts, q.upper) + q.offset)[:, None]
     field = diag + (sym @ starts[:, :, None])[:, :, 0]
     sign = 1.0 - 2.0 * starts
@@ -510,10 +479,13 @@ def _tabu_walks(
             sign.put(flat, new)
             tabu_until.put(flat, iteration + tenure)
             candidate.take(flat, out=energy, mode="clip")
-            # A move improves exactly when it aspires.
             aspiration.take(flat, out=improved, mode="clip")
             if np.count_nonzero(improved):
                 hit = improved[:, 0]
+                for row in np.flatnonzero(hit & (energy[:, 0] > bar[:, 0] - drift)):
+                    pair = (np.stack([best_sign[row], sign[row]]) < 0).astype(float)
+                    best_energy, new_energy = _quadratic_forms(pair, q.upper)
+                    hit[row] = new_energy < best_energy - ENERGY_EPS
                 bar[hit] = energy[hit] - ENERGY_EPS
                 best_sign[hit] = sign[hit]
                 improved_at[hit] = iteration
@@ -537,8 +509,9 @@ def sample_tabu(
     neighbor, uphill if necessary; allowed moves within ``ENERGY_EPS`` of
     the best one tie, and the lowest variable index wins.  A read stops
     after 50*n iterations without improving its best (recorded as
-    ``max_iterations_per_read``) and returns its best state.  Reads,
-    seeds and energies follow :func:`_sample_reads`.
+    ``max_iterations_per_read``) and returns its best state; a gain that
+    rounding drift could explain must hold from scratch.  Reads, seeds and
+    energies follow :func:`_sample_reads`.
 
     Reads walk in lock step (:func:`_tabu_walks`), in blocks that bound
     the state arrays to ``_TABU_BLOCK_ELEMENTS`` entries.

@@ -175,6 +175,56 @@ class TestSolve:
         assert main(["solve", "--rates", "/no/such/file.csv"]) == 2
 
 
+def write_market(tmp_path):
+    """Five currencies whose best loop of length 4 pays 1.05."""
+    rates = tmp_path / "market.csv"
+    argv = ["gen", "--n", "5", "--seed", "7", "--plant", "0,1", "--strength", "1.05"]
+    assert main(argv + ["--out", str(rates)]) == 0
+    return str(rates)
+
+
+class TestEnergyRange:
+    """Every solver refuses a QUBO whose coefficient magnitudes sum to
+    DBL_MAX/4 or more, with one error line, before it reads the matrix."""
+
+    @pytest.mark.parametrize(
+        "weight",
+        [["--weight-rate", "1e306"], ["--weight-one-hot", "1e308"]],
+        ids=["rate", "one-hot"],
+    )
+    def test_every_solver_gives_one_error(self, tmp_path, capsys, weight):
+        argv = ["solve", "--rates", write_market(tmp_path), "--reads", "2", "--seed", "1", *weight]
+        capsys.readouterr()
+        errors = []
+        for solver in ("sa", "tabu", "exact"):
+            assert main(argv + ["--solver", solver]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0].startswith("error: coefficient and offset magnitudes sum to S = ")
+        assert errors == [errors[0]] * 3
+
+    def test_tabu_stops_at_a_large_rate_weight(self, tmp_path, capsys):
+        # Ulps of these energies exceed ENERGY_EPS: if rounding drift alone
+        # counted as improvement, the stall count would reset without end.
+        argv = ["solve", "--rates", write_market(tmp_path), "--solver", "tabu"]
+        assert main(argv + ["--reads", "4", "--seed", "1", "--weight-rate", "1e12"]) == 0
+        assert "profitability: 1.05000" in capsys.readouterr().out
+
+
+class TestNegativeExponents:
+    @pytest.mark.parametrize("value", ["-1e3", "-2.5E-4", "-.5e1", "-1.5e+2", "-3"])
+    def test_spaced_value_parses_like_attached(self, tmp_path, capsys, value):
+        base = ["solve", "--rates", write_market(tmp_path), "--weight-fill"]
+        capsys.readouterr()
+        assert cli.build_parser().parse_args(base + [value]).weight_fill == float(value)
+        runs = []
+        for argv in (base + [value], base[:-1] + [f"--weight-fill={value}"]):
+            runs.append((main(argv), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] != 1
+
+
 def write_planted(tmp_path):
     rates = tmp_path / "planted.csv"
     main(

@@ -8,11 +8,11 @@ instances.  Golden values pin their exact output, and both samplers are
 checked against plain one-read-at-a-time references.
 """
 
-import ast
 import hashlib
 import itertools
 import math
 import re
+import sys
 import time
 import tracemalloc
 import warnings
@@ -161,6 +161,19 @@ def overflowing_qubo():
     return q
 
 
+# What every solver raises, before it reads the matrix, when the
+# magnitudes sum to S >= DBL_MAX/4 (``QuboMatrix.check_energy_range``).
+ENERGY_RANGE_ERROR = r"^coefficient and offset magnitudes sum to S = \S+ x DBL_MAX/4; "
+DBL_MAX = sys.float_info.max
+
+
+def energy_range_error(q: QuboMatrix) -> str:
+    """The message ``q.check_energy_range()`` raises."""
+    with pytest.raises(ModelError, match=ENERGY_RANGE_ERROR) as raised:
+        q.check_energy_range()
+    return str(raised.value)
+
+
 class TestNonFiniteEnergies:
     def test_ground_state_rejects_overflow(self):
         with pytest.raises(ModelError):
@@ -171,22 +184,21 @@ class TestNonFiniteEnergies:
             solve_exact(overflowing_qubo())
 
     def test_tabu_rejects_overflow(self):
-        # Reads 1 and 4 end at states whose energy sums to NaN.
+        q = overflowing_qubo()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ModelError, match="read 1 "):
-                sample_tabu(overflowing_qubo(), SamplerParams(num_reads=4, seed=1))
+            with pytest.raises(ModelError) as raised:
+                sample_tabu(q, SamplerParams(num_reads=4, seed=1))
+        assert str(raised.value) == energy_range_error(q)
 
     @pytest.mark.parametrize("sampler", [sample_sa, sample_tabu])
     def test_samplers_reject_overflowing_descent(self, sampler):
-        q = QuboMatrix(3)  # every pair of set bits sums below -max float
-        for i in range(3):
-            for j in range(i, 3):
-                q.add_coefficient(i, j, -1e308)
+        q = descending_qubo(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ModelError, match="read 1 "):
+            with pytest.raises(ModelError) as raised:
                 sampler(q, SamplerParams(num_reads=2, seed=1, sweeps_per_read=5))
+        assert str(raised.value) == energy_range_error(q)
 
 
 def term_by_term_energies(q: QuboMatrix) -> np.ndarray:
@@ -223,13 +235,12 @@ class TestSplitHalvesEnergies:
             assert abs(energies[state] - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_overflow_names_a_non_finite_state(self):
-        q = overflowing_qubo()
-        starts, chunk = solvers._energy_kernel(q)
-        with pytest.raises(ModelError) as raised:
-            [chunk(start) for start in starts]
-        bits = ast.literal_eval(re.search(r"state (\([01, ]+\))", str(raised.value)).group(1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not math.isfinite(q.energy(bits))
+        # The kernel refuses the matrix before it computes a chunk, naming
+        # S, here 5e308, in units of DBL_MAX/4.
+        with pytest.raises(ModelError, match=ENERGY_RANGE_ERROR) as raised:
+            solvers._energy_kernel(overflowing_qubo())
+        named = float(re.search(r"S = (\S+) x", str(raised.value)).group(1))
+        assert named == pytest.approx(5 * (1e308 / (DBL_MAX / 4)), rel=1e-3)
 
 
 def near_tie_qubo(low: float) -> QuboMatrix:
@@ -871,17 +882,16 @@ class TestMatchesSevenCallStep:
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_infinite_fields(self, n):
-        q = QuboMatrix(n)  # every pair of set bits sums below -max float
-        for i in range(n):
-            for j in range(i, n):
-                q.add_coefficient(i, j, -1e308)
+        # Fields that would overflow never form: the read driver refuses
+        # the matrix before the first read.
+        q = descending_qubo(n)
         params = SamplerParams(num_reads=4, seed=1, sweeps_per_read=5)
         messages = []
         for sampler in (sample_sa, seven_call_sa):
-            with pytest.raises(ModelError, match="read 1 ") as raised:
+            with pytest.raises(ModelError, match=ENERGY_RANGE_ERROR) as raised:
                 sampler(q, params)
             messages.append(str(raised.value))
-        assert messages[0] == messages[1]
+        assert messages[0] == messages[1] == energy_range_error(q)
 
     @pytest.mark.parametrize("num_reads", [1, 4])
     def test_one_variable_levels(self, num_reads):
@@ -918,8 +928,10 @@ def sequential_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
     """Final bits and trace of each read of a one-read tabu walk.
 
     Deltas come from ``QuboMatrix.energy_delta``; allowed moves within
-    ``ENERGY_EPS`` of the best one tie, and the lowest index wins.  Also
-    counts the iterations on which every variable was tabu.
+    ``ENERGY_EPS`` of the best one tie, and the lowest index wins.  An
+    aspiring move improves only if ``QuboMatrix.energy`` of its state also
+    beats that of the best state by ``ENERGY_EPS``.  Also counts the
+    iterations on which every variable was tabu.
     """
     eps = solvers.ENERGY_EPS
     n = q.n_vars
@@ -946,7 +958,7 @@ def sequential_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
             x[v] = 1.0 - x[v]
             energy = candidates[v]
             tabu_until[v] = iteration + tenure
-            if energy < best_energy - eps:
+            if aspiration[v] and q.energy(x) < q.energy(best_x) - eps:
                 best_x, best_energy, stall = x.copy(), energy, 0
             else:
                 stall += 1
@@ -954,16 +966,21 @@ def sequential_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
     return finals, trace, all_tabu
 
 
-def one_read_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
+def beats_from_scratch(q: QuboMatrix, x: np.ndarray, best_x: np.ndarray) -> bool:
+    """Whether state ``x`` beats ``best_x`` by ``ENERGY_EPS``, in energies
+    taken from scratch as ``sample_tabu`` takes them."""
+    best, new = solvers._quadratic_forms(np.stack([best_x, x]), q.upper)
+    return new < best - solvers.ENERGY_EPS
+
+
+def one_read_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list]:
     """Final bits and trace of each read of a one-read tabu walk in numpy.
 
     The walk of ``sequential_tabu``, one read at a time, with the n deltas
     of an iteration taken as ``sign * field`` from local fields that each
-    flip updates, as ``sample_tabu`` keeps them, so sums that leave the
-    float range give the same infinities and NaNs.  Blocked candidates
-    become inf.  A NaN candidate is the lowest, so no candidate ties with
-    it and variable 0 moves, even when blocked; ``sequential_tabu``, whose
-    ``min`` skips NaNs, cannot take that step.  Also counts those moves.
+    flip updates, as ``sample_tabu`` keeps them, so its energies drift by
+    the same ulps.  Blocked candidates become inf.  An aspiring move
+    improves only if its state :func:`beats_from_scratch` the best state.
     An iteration is a dozen numpy calls on n values where
     ``sequential_tabu`` makes n Python calls, so a walk at 240 variables
     stays short enough for the test suite.
@@ -972,41 +989,38 @@ def one_read_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
     n = q.n_vars
     tenure = p.effective_tenure(n)
     diag, sym = q.symmetric_parts()
-    finals, trace, nan_moves = [], [], 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for read_index in range(1, p.num_reads + 1):
-            rng = np.random.default_rng(p.seed ^ read_index)
-            x = rng.integers(0, 2, size=n).astype(float)
-            energy = q.energy(x)
-            field = diag + sym @ x
-            best_x, best_energy = x.copy(), energy
-            tabu_until = np.zeros(n, dtype=np.int64)
-            iteration = stall = 0
-            while stall < 50 * n:
-                iteration += 1
-                sign = 1.0 - 2.0 * x
-                candidates = sign * field + energy
-                aspiration = candidates < best_energy - eps
-                allowed = (tabu_until < iteration) | aspiration
-                if not allowed.any():
-                    allowed[:] = True
-                candidates[~allowed] = np.inf
-                lowest = candidates.min()
-                nan_moves += math.isnan(lowest)
-                v = int(np.argmax(candidates <= lowest + eps))
-                trace.append(
-                    (read_index, iteration, v, bool(tabu_until[v] >= iteration), bool(aspiration[v]))
-                )
-                field += sign[v] * sym[v]
-                x[v] = 1.0 - x[v]
-                energy = candidates[v]
-                tabu_until[v] = iteration + tenure
-                if aspiration[v]:
-                    best_x, best_energy, stall = x.copy(), energy, 0
-                else:
-                    stall += 1
-            finals.append(tuple(int(b) for b in best_x))
-    return finals, trace, nan_moves
+    finals, trace = [], []
+    for read_index in range(1, p.num_reads + 1):
+        rng = np.random.default_rng(p.seed ^ read_index)
+        x = rng.integers(0, 2, size=n).astype(float)
+        energy = q.energy(x)
+        field = diag + sym @ x
+        best_x, best_energy = x.copy(), energy
+        tabu_until = np.zeros(n, dtype=np.int64)
+        iteration = stall = 0
+        while stall < 50 * n:
+            iteration += 1
+            sign = 1.0 - 2.0 * x
+            candidates = sign * field + energy
+            aspiration = candidates < best_energy - eps
+            allowed = (tabu_until < iteration) | aspiration
+            if not allowed.any():
+                allowed[:] = True
+            candidates[~allowed] = np.inf
+            v = int(np.argmax(candidates <= candidates.min() + eps))
+            trace.append(
+                (read_index, iteration, v, bool(tabu_until[v] >= iteration), bool(aspiration[v]))
+            )
+            field += sign[v] * sym[v]
+            x[v] = 1.0 - x[v]
+            energy = candidates[v]
+            tabu_until[v] = iteration + tenure
+            if aspiration[v] and beats_from_scratch(q, x, best_x):
+                best_x, best_energy, stall = x.copy(), energy, 0
+            else:
+                stall += 1
+        finals.append(tuple(int(b) for b in best_x))
+    return finals, trace
 
 
 def descending_qubo(n: int) -> QuboMatrix:
@@ -1057,7 +1071,7 @@ class TestTabuMatchesSequentialWalk:
     def test_bits_and_trace_at_240_variables(self):
         # Two lock-step rows whose reads stall out one iteration apart.
         q, params = noisy_loop_qubo(30, 8), SamplerParams(num_reads=2, seed=9)
-        bits, expected_trace, _ = one_read_tabu(q, params)
+        bits, expected_trace = one_read_tabu(q, params)
         trace: list = []
         result = sample_tabu(q, params, trace=trace)
         assert [s.bits for s in result.samples] == bits
@@ -1066,29 +1080,18 @@ class TestTabuMatchesSequentialWalk:
 
     @pytest.mark.parametrize("n, seed", [(3, 1), (4, 2), (6, 0), (6, 3)])
     def test_overflowing_descent_names_the_reference_read(self, n, seed):
+        # No read walks: the matrix is refused before the first move, with
+        # the message exact enumeration gives.
         q, params = descending_qubo(n), SamplerParams(num_reads=4, seed=seed)
-        bits, expected_trace, nan_moves = one_read_tabu(q, params)
-        assert nan_moves > 0  # some iteration's lowest allowed candidate was NaN
-        # sample_tabu raises before it returns a trace, so walk its block here.
-        reads = range(1, params.num_reads + 1)
-        starts = np.array(
-            [np.random.default_rng(params.seed ^ r).integers(0, 2, size=n) for r in reads],
-            dtype=float,
-        )
-        moves: list = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            solvers._tabu_walks(
-                q, *q.symmetric_parts(), reads, starts, params.effective_tenure(n), 50 * n, moves
-            )
-        assert sorted(moves) == expected_trace
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies = [q.energy(b) for b in bits]
-        read = next(r for r, e in enumerate(energies, 1) if not math.isfinite(e))
-        expected = f"energy of read {read} at state {bits[read - 1]} is {energies[read - 1]}: "
+        trace: list = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ModelError, match=re.escape(expected)):
-                sample_tabu(q, params)
+            with pytest.raises(ModelError, match=ENERGY_RANGE_ERROR) as raised:
+                sample_tabu(q, params, trace=trace)
+            with pytest.raises(ModelError) as exact:
+                ground_state(q)
+        assert trace == []
+        assert str(raised.value) == str(exact.value) == energy_range_error(q)
 
     def test_rounding_tie_takes_lowest_index(self):
         # Flipping bit 0 or bit 1 up costs -0.3; bit 1's sum rounds 5.6e-17
@@ -1104,3 +1107,82 @@ class TestTabuMatchesSequentialWalk:
         trace: list = []
         sample_tabu(q, params, trace=trace)
         assert [var for read, iteration, var, *_ in trace if (read, iteration) == (2, 1)] == [0]
+
+
+def scaled_qubo(n: int, total: float, negative: bool = False) -> QuboMatrix:
+    """Normal coefficients on every (i, j), i <= j, scaled so that their
+    magnitudes sum to ``total``; all negative when ``negative``."""
+    rows, cols = np.triu_indices(n)
+    values = np.random.default_rng(0).normal(size=rows.size)
+    if negative:
+        values = -np.abs(values)
+    return QuboMatrix(n).add_terms(rows, cols, values * (total / np.abs(values).sum()))
+
+
+class TestEnergyRange:
+    """Below S = DBL_MAX/4 every solver gives finite energies without a
+    warning; past it every solver raises the one boundary error."""
+
+    SOLVERS = {
+        "ground_state": lambda q: [ground_state(q)[1]],
+        "solve_exact": lambda q: [s.energy for s in solve_exact(q).samples],
+        "sample_sa": lambda q: [
+            s.energy
+            for s in sample_sa(q, SamplerParams(num_reads=2, seed=1, sweeps_per_read=20)).samples
+        ],
+        "sample_tabu": lambda q: [
+            s.energy for s in sample_tabu(q, SamplerParams(num_reads=2, seed=1)).samples
+        ],
+    }
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["random-signs", "all-negative"])
+    @pytest.mark.parametrize("n", [6, 12, 20])
+    def test_just_below_the_bound_is_finite(self, n, negative):
+        q = scaled_qubo(n, DBL_MAX / 4 * 0.999, negative)
+        assert q.check_energy_range() < DBL_MAX / 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, solve in self.SOLVERS.items():
+                assert all(math.isfinite(e) for e in solve(q)), name
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["random-signs", "all-negative"])
+    @pytest.mark.parametrize("n", [6, 12, 20])
+    def test_just_past_the_bound_is_refused(self, n, negative):
+        q = scaled_qubo(n, DBL_MAX / 4 * 1.002, negative)
+        message = energy_range_error(q)
+        assert "S = 1.002 x DBL_MAX/4" in message
+        for name, solve in self.SOLVERS.items():
+            with pytest.raises(ModelError) as raised:
+                solve(q)
+            assert str(raised.value) == message, name
+
+    def test_refused_although_every_energy_is_finite(self):
+        # The states' energies are 0, 1e308, -1e308 and 0, but S = 2e308.
+        q = QuboMatrix(2).add_terms([0, 1], [0, 1], [1e308, -1e308])
+        with pytest.raises(ModelError, match=ENERGY_RANGE_ERROR):
+            ground_state(q)
+
+    def test_returns_the_magnitude_sum(self):
+        q = QuboMatrix(3, offset=-2.0).add_terms([0, 0, 2], [0, 1, 2], [1.5, -4.0, 0.25])
+        assert q.check_energy_range() == 7.75
+
+
+class TestTabuRoundingDrift:
+    """Where an ulp of the energy exceeds ``ENERGY_EPS``, the incremental
+    energy's drift is not improvement, so the walk still stalls out."""
+
+    def test_stops_as_at_scale_one(self):
+        params = SamplerParams(num_reads=1, seed=1)
+        traces = []
+        for total in (1.0, 1e300):
+            q = scaled_qubo(12, total)
+            trace: list = []
+            sample_tabu(q, params, trace=trace)
+            assert trace == one_read_tabu(q, params)[1]
+            traces.append(trace)
+        # Drift still makes some moves aspire, which changes the walk, but
+        # the read stalls out after as many moves as at scale one.  If drift
+        # counted as improvement, it would do so on thousands of moves and
+        # the read would not stall out.
+        assert len(traces[1]) == len(traces[0]) == 604
+
