@@ -39,6 +39,7 @@ from .model import (
     decode,
     default_weights,
     encode_loop,
+    exact_optimum,
     model_to_json,
     profitability,
     var_index,

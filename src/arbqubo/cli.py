@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import time
 from dataclasses import fields, replace
 
 from .bench import (
@@ -34,11 +35,12 @@ from .model import (
     canonical_rotation,
     decode,
     default_weights,
+    exact_optimum,
     model_to_json,
     profitability,
 )
 from .oracle import PROFIT_EPS, best_cycle_bruteforce, has_arbitrage_bellman_ford
-from .qubo import sampleset_to_json
+from .qubo import SampleSet, qubo_to_json, sampleset_to_json
 from .rates import (
     dump_rates_csv,
     generate_consistent,
@@ -46,7 +48,7 @@ from .rates import (
     plant_cycle,
     to_log_weights,
 )
-from .solvers import EXACT_SOLVER_NAME, SamplerParams, ground_state, solve_exact
+from .solvers import EXACT_SOLVER_NAME, SamplerParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,6 +137,7 @@ def build_parser() -> _Parser:
     solve.add_argument(
         "--model-out", default=None, help="write the model description as JSON"
     )
+    solve.add_argument("--qubo-out", default=None, help="write the QUBO as JSON")
     solve.set_defaults(func=cmd_solve)
 
     bench = sub.add_parser("bench", parents=[problem], help="batch solver comparison")
@@ -193,7 +196,10 @@ def cmd_solve(args) -> int:
     q = build_qubo(w, shape, weights)
 
     if args.solver == EXACT_SOLVER_NAME:
-        result = solve_exact(q)
+        t0 = time.perf_counter()
+        optimum = exact_optimum(q, w, shape, weights)
+        wall_time_us = (time.perf_counter() - t0) * 1e6
+        result = SampleSet([optimum], {"wall_time_us": wall_time_us}, EXACT_SOLVER_NAME)
     else:
         params = SamplerParams(
             num_reads=args.reads, seed=args.seed, sweeps_per_read=args.sweeps
@@ -206,6 +212,9 @@ def cmd_solve(args) -> int:
     if args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as fh:
             fh.write(model_to_json(shape, weights, rates.labels))
+    if args.qubo_out:
+        with open(args.qubo_out, "w", encoding="utf-8") as fh:
+            fh.write(qubo_to_json(q))
 
     best = result.best()
     decoded = decode(best.bits, shape)
@@ -230,12 +239,13 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     _, shape, w = _problem(args)
-    q = build_qubo(w, shape, default_weights(w, shape))
+    weights = default_weights(w, shape)
+    q = build_qubo(w, shape, weights)
     solvers = [token.strip() for token in args.solvers.split(",")]
     for solver in solvers:  # reject unknown names before any batch runs
         lookup_solver(solver)
 
-    _, optimal_energy = ground_state(q)
+    optimal_energy = exact_optimum(q, w, shape, weights).energy
     combined = BenchReport()
     for solver in solvers:
         for reads in args.reads:

@@ -19,6 +19,9 @@ term families populate the matrix:
 With the shipped calibration every constraint-violating bitvector sits
 strictly above the best feasible loop, so the ground state is always a
 decodable loop; see docs/weight_calibration.md for the derivation.
+:func:`exact_optimum` relies on it: under such weights it finds the
+ground state among closed walks alone, with a min-plus DP over the few
+coefficients a loop reads (:func:`loop_tables`), at any size.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ModelError, NotFeasible
-from .qubo import QuboMatrix
+from .errors import DimensionError, ModelError, NotFeasible, TooLarge
+from .qubo import ENERGY_EPS, QuboMatrix, Sample
 from .rates import LogWeightMatrix, RateMatrix, cycle_product
+from .solvers import EXACT_MAX_VARS, ground_state, state_energy
 
 MULTIPLE_IN_POSITION = "MultipleInPosition"
 EMPTY_POSITION = "EmptyPosition"
@@ -281,6 +285,143 @@ def canonical_rotation(loop) -> list[int]:
     rotations = [tuple(body[i:] + body[:i]) for i in range(len(body))]
     best = min(rotations)
     return list(best) + [best[0]]
+
+
+# -- exact optimum -------------------------------------------------------------
+
+# The tie walk lists at most this many loops within ENERGY_EPS of the
+# optimum.  A consistent market without a consecutive reward ties all
+# N^(K-1) of its closed walks.
+EXACT_MAX_TIED_LOOPS = 1 << 16
+# The DP's and the tie walk's temporaries hold at most this many floats
+# (8 MiB), or one start's N x N when that is more.
+_DP_BLOCK_ELEMENTS = 1 << 20
+
+
+def loop_tables(q: QuboMatrix, shape: ProblemShape):
+    """The coefficients a feasible state's energy reads: ``(lin, pair, close)``.
+
+    A feasible state is a closed walk ``c_0 .. c_{K-1}``, ``c_{K-1} = c_0``,
+    one currency per 0-based position p.  Its energy is ``q.offset +
+    close[c_0] + sum_p lin[p, c_p] + sum_p pair[p, c_p, c_{p+1}]``:
+    ``lin`` is (K, N), the linear term of c at p; ``pair`` is (K-1, N, N),
+    the coupling of c at p with d at p + 1; ``close`` is (N,), the
+    endpoint coupling of c at positions 1 and K, zero at K = 2, where
+    ``pair[0, c, c]`` holds it.  No other coefficient of ``build_qubo``
+    touches a feasible state.
+    """
+    n, k = shape.n_currencies, shape.loop_length
+    upper = q.upper
+    lin = _grid(np.diag(upper), shape).T
+    pair = np.stack([upper[p::k, p + 1 :: k] + upper[p + 1 :: k, p::k].T for p in range(k - 1)])
+    ends = np.arange(n) * k
+    close = upper[ends, ends + k - 1] if k > 2 else np.zeros(n)
+    return lin, pair, close
+
+
+def weights_dominate(
+    w: LogWeightMatrix, shape: ProblemShape, weights: HamiltonianWeights
+) -> bool:
+    """True when every infeasible state lies more than ``ENERGY_EPS`` above
+    the best feasible one.
+
+    These are the three sufficient conditions of
+    docs/weight_calibration.md, each held by more than ``ENERGY_EPS``, and
+    the non-negative consecutive reward they assume.
+    """
+    k = shape.loop_length
+    reward, fill = -weights.consecutive, -weights.fill
+    swing = weights.rate * w.max_abs() + reward
+    margins = (
+        weights.one_hot - (fill + 3 * swing + swing * k),  # a crowded position
+        fill - (swing * (k - 1) - reward),  # an empty position
+        -weights.endpoint - swing * k,  # an open loop
+    )
+    return reward >= 0 and min(margins) > ENERGY_EPS
+
+
+def _tied_loops(lin, pair, close, block: int) -> np.ndarray:
+    """Every closed walk within ``ENERGY_EPS`` of the cheapest, one per row.
+
+    A min-plus DP runs backwards: ``togo[p, s, c]`` is the cheapest sum
+    of the terms after position p of a walk that is at c there and back
+    at its start s at position K-1, O(K * N^3) in blocks of ``block``
+    starts.  The walk then grows every
+    prefix, one position at a time, whose cost plus ``togo`` stays within
+    ``ENERGY_EPS`` of the optimum; a prefix none of whose children pass
+    (possible only by rounding) keeps its cheapest.
+    """
+    n = lin.shape[1]
+    step = pair + lin[1:, None, :]  # step[p, c, d]: d's term at p + 1 and the coupling
+    togo = np.empty_like(step)
+    togo[-1] = step[-1].T
+    for p in range(len(step) - 2, -1, -1):
+        for lo in range(0, n, block):
+            togo[p, lo : lo + block] = (step[p] + togo[p + 1, lo : lo + block, None, :]).min(axis=2)
+    starts = np.arange(n)
+    cost = lin[0] + close
+    values = cost + togo[0, starts, starts]
+    bar = values.min() + ENERGY_EPS
+    keep = values <= bar
+    walks, cost = starts[keep, None], cost[keep]
+    rows = max(1, block * n)
+    for p in range(len(step) - 1):
+        grown, costs = [], []
+        for lo in range(0, len(walks), rows):
+            walk, prefix = walks[lo : lo + rows], cost[lo : lo + rows, None]
+            child = prefix + step[p, walk[:, -1]]
+            value = child + togo[p + 1, walk[:, 0]]
+            keep = value <= bar
+            stuck = np.flatnonzero(~keep.any(axis=1))
+            keep[stuck, value[stuck].argmin(axis=1)] = True
+            parent, d = np.nonzero(keep)
+            grown.append(np.column_stack([walk[parent], d]))
+            costs.append(child[parent, d])
+            if sum(map(len, costs)) > EXACT_MAX_TIED_LOOPS:
+                raise TooLarge(
+                    f"more than {EXACT_MAX_TIED_LOOPS} loops lie within "
+                    f"ENERGY_EPS {ENERGY_EPS} of the optimum"
+                )
+        walks, cost = np.concatenate(grown), np.concatenate(costs)
+    return np.column_stack([walks, walks[:, 0]])
+
+
+def exact_optimum(
+    q: QuboMatrix, w: LogWeightMatrix, shape: ProblemShape, weights: HamiltonianWeights
+) -> Sample:
+    """The optimum of ``q = build_qubo(w, shape, weights)`` as read 1: the
+    state :func:`~arbqubo.solvers.ground_state` picks, at its
+    :func:`~arbqubo.solvers.state_energy`.
+
+    When :func:`weights_dominate`, the optimum is a feasible loop, so the
+    closed-walk DP finds it in O(K * N^3) at any size.  Of the loops
+    within ``ENERGY_EPS`` of it the lowest bits win, enumeration's tie
+    rule; more than ``EXACT_MAX_TIED_LOOPS`` of them is :class:`TooLarge`.
+    Otherwise enumeration answers within ``EXACT_MAX_VARS``, and beyond it
+    the weights are a :class:`ModelError`.
+    """
+    if (w.n, q.n_vars) != (shape.n_currencies, shape.n_vars):
+        raise DimensionError(
+            f"{w.n} currencies and {q.n_vars} variables do not fit shape "
+            f"{shape.n_currencies}x{shape.loop_length}"
+        )
+    q.check_energy_range()
+    if not weights_dominate(w, shape, weights):
+        if q.n_vars > EXACT_MAX_VARS:
+            raise ModelError(
+                f"weights do not dominate the constraint penalties by ENERGY_EPS, "
+                f"and {q.n_vars} variables exceeds enumeration guard {EXACT_MAX_VARS}"
+            )
+        return Sample(*ground_state(q), 1)
+    block = max(1, _DP_BLOCK_ELEMENTS // shape.n_currencies**2)
+    loops = _tied_loops(*loop_tables(q, shape), block).tolist()
+    n, k = shape.n_vars, shape.loop_length
+
+    def state_index(loop):  # the lowest index is the lowest bits
+        return sum(1 << (n - 1 - c * k - p) for p, c in enumerate(loop))
+
+    bits = encode_loop(min(loops, key=state_index), shape)
+    return Sample(bits, state_energy(q, bits), 1)
 
 
 # -- model description output ------------------------------------------------

@@ -18,6 +18,12 @@ one small matrix product plus two broadcast adds.  One scan,
 the optimum, so the pick does not depend on the order in which an
 energy's terms were summed.
 
+One energy per state: an exact optimum is reported at its
+:func:`state_energy`, one evaluation of that state alone, not at the
+sum that picked it.  The scan's sums and the closed-walk DP's
+(``model.exact_optimum``) differ in the last bits, so two routes that
+pick the same state report the same energy only this way.
+
 Both samplers vectorize across reads without changing what a read does.
 Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
 array each, and updates a row's local fields in O(n) per flip; its tie
@@ -140,6 +146,12 @@ def _quadratic_forms(bits: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return ((bits @ upper) * bits).sum(axis=1)
 
 
+def state_energy(q: QuboMatrix, bits) -> float:
+    """The energy of one state, evaluated from scratch: the one formula
+    every exact route reports its optimum at."""
+    return float(_quadratic_forms(np.array([bits], dtype=float), q.upper)[0] + q.offset)
+
+
 def _bit_table(m: int) -> np.ndarray:
     """Bits of all 2^m states of m variables, row i state i, high bit first."""
     states = np.arange(1 << m, dtype=np.int64)[:, None]
@@ -183,7 +195,7 @@ def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
 
 def _scan_optimum(q: QuboMatrix) -> Sample:
     """The optimum, the lowest state within ``ENERGY_EPS`` of the minimum,
-    as read 1.
+    as read 1 at its :func:`state_energy`.
 
     A first pass keeps each chunk's minimum.  The first chunk within
     ``ENERGY_EPS`` of the lowest, which holds the optimum, is then computed
@@ -194,9 +206,9 @@ def _scan_optimum(q: QuboMatrix) -> Sample:
     lows = [chunk(start).min() for start in starts]
     bar = min(lows) + ENERGY_EPS
     first = next(start for start, low in zip(starts, lows) if low <= bar)
-    energies = chunk(first)
-    pos = int(np.argmax(energies <= bar))
-    return Sample(_state_bits(first + pos, q.n_vars), float(energies[pos]), 1)
+    pos = int(np.argmax(chunk(first) <= bar))
+    bits = _state_bits(first + pos, q.n_vars)
+    return Sample(bits, state_energy(q, bits), 1)
 
 
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:

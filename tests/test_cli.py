@@ -21,6 +21,7 @@ from arbqubo import (
     to_log_weights,
 )
 from arbqubo import bench, cli, qubo
+from arbqubo.model import exact_optimum
 from arbqubo.cli import main
 
 from conftest import fig1_csv_bytes
@@ -141,6 +142,22 @@ class TestSolve:
         assert (model["n_currencies"], model["loop_length"]) == (3, 4)
         assert model["weights"] == dataclasses.asdict(weights)
         assert model["labels"] == ["USD", "EUR", "GBP"]
+
+    def test_writes_the_solved_qubo(self, tmp_path):
+        rates = write_fig1(tmp_path)
+        qubo_file = tmp_path / "qubo.json"
+        code = main(
+            [
+                "solve", "--rates", rates, "--loop-length", "4",
+                "--weight-rate", "2", "--qubo-out", str(qubo_file),
+            ]
+        )
+        assert code == 0
+        with open(rates, "rb") as fh:
+            w = to_log_weights(load_rates(fh, "csv"))
+        shape = ProblemShape(3, 4)
+        q = build_qubo(w, shape, default_weights(w, shape, rate=2.0))
+        assert qubo_file.read_text() == qubo.qubo_to_json(q)
 
     def test_exact_out_round_trips_every_state(self, tmp_path, capsys):
         rates = write_fig1(tmp_path)
@@ -270,12 +287,16 @@ class TestBench:
         report_file = tmp_path / "report.csv"
         energies = []
 
-        def counted(q):
+        def counted(*args):
+            energies.append(exact_optimum(*args).energy)
+            return exact_optimum(*args)
+
+        def enumerated(q):
             energies.append(ground_state(q)[1])
             return ground_state(q)
 
-        monkeypatch.setattr(cli, "ground_state", counted)
-        monkeypatch.setattr(bench, "ground_state", counted)
+        monkeypatch.setattr(cli, "exact_optimum", counted)
+        monkeypatch.setattr(bench, "ground_state", enumerated)
         code = main(
             [
                 "bench", "--rates", str(rates), "--loop-length", "3",

@@ -1,0 +1,175 @@
+"""Differential checks: each pair of independent routes to one answer must agree.
+
+Rows are (shape, market kind, seed) over every shape ``ProblemShape``
+admits with N*K <= 22.  Column implemented so far:
+    - ``exact_optimum``'s closed-walk DP and tie walk against enumeration
+      (``ground_state``): the same bits at the same energy, ``==``.
+
+Plus the exact route's other branches: the enumeration fallback when the
+weights do not dominate, its error beyond the enumeration guard, the cap
+on tied loops, and the DP's blocking over starts.
+"""
+
+import dataclasses
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from arbqubo import (
+    DimensionError,
+    ProblemShape,
+    RateMatrix,
+    TooLarge,
+    build_qubo,
+    default_weights,
+    generate_consistent,
+    ground_state,
+    plant_cycle,
+    solve_exact,
+    to_log_weights,
+)
+from arbqubo import cli, model
+from arbqubo.cli import main
+from arbqubo.model import exact_optimum, weights_dominate
+
+SHAPES = [(n, k) for n in range(2, 12) for k in range(2, n + 2) if n * k <= 22]
+MARKETS = ["planted", "noisy", "consistent"]
+SEEDS = [1, 2, 3]
+
+
+def market(kind: str, n: int, seed: int) -> RateMatrix:
+    """An arbitrage-free market, with a planted cycle or with every rate
+    perturbed by up to 5%."""
+    base = generate_consistent(n, seed)
+    if kind == "consistent":
+        return base
+    if kind == "planted":
+        return plant_cycle(base, range(min(n, 3)), 1.05)
+    rng = np.random.default_rng(seed)
+    rate = np.array(base.rate) * np.exp(rng.uniform(-0.05, 0.05, size=(n, n)))
+    np.fill_diagonal(rate, 1.0)
+    return RateMatrix(labels=base.labels, rate=rate)
+
+
+def problem(kind, n, k, seed, **overrides):
+    w = to_log_weights(market(kind, n, seed))
+    shape = ProblemShape(n, k)
+    weights = dataclasses.replace(default_weights(w, shape), **overrides)
+    return build_qubo(w, shape, weights), w, shape, weights
+
+
+def no_enumeration(q):
+    raise AssertionError("the exact route enumerated")
+
+
+@pytest.mark.parametrize("kind", MARKETS)
+@pytest.mark.parametrize("n, k", SHAPES, ids=[f"N{n}K{k}" for n, k in SHAPES])
+def test_dp_matches_enumeration(monkeypatch, n, k, kind):
+    monkeypatch.setattr(model, "ground_state", no_enumeration)
+    for seed in SEEDS:
+        q, w, shape, weights = problem(kind, n, k, seed)
+        assert weights_dominate(w, shape, weights)
+        best = exact_optimum(q, w, shape, weights)
+        assert (best.bits, best.energy) == ground_state(q)
+        assert best.read_index == 1
+
+
+def test_one_start_per_block_gives_the_same_optimum(monkeypatch):
+    cases = [("planted", 30, 8, 1), ("noisy", 11, 2, 2), ("consistent", 7, 3, 3), ("noisy", 5, 4, 1)]
+    wide = [exact_optimum(*problem(*case)) for case in cases]
+    monkeypatch.setattr(model, "_DP_BLOCK_ELEMENTS", 1)
+    assert [exact_optimum(*problem(*case)) for case in cases] == wide
+
+
+def test_dp_memory_is_blocked_over_starts():
+    # N^3 floats at N=160 would take 32 MiB; a block holds at most 8 MiB.
+    q, w, shape, weights = problem("planted", 160, 3, 1)
+    tracemalloc.start()
+    try:
+        exact_optimum(q, w, shape, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_tied_loops_are_capped():
+    # Without the consecutive reward every closed walk of a consistent
+    # market ties: 30^7 of them.
+    q, w, shape, weights = problem("consistent", 30, 8, 1, consecutive=0.0)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="more than 65536 loops"):
+        exact_optimum(q, w, shape, weights)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("n, k", [(4, 5), (5, 3)])
+def test_shape_must_fit_the_problem(n, k):
+    q, w, _, weights = problem("planted", 5, 4, 1)
+    with pytest.raises(DimensionError, match="do not fit shape"):
+        exact_optimum(q, w, ProblemShape(n, k), weights)
+
+
+class TestDominance:
+    def test_default_weights_dominate(self):
+        _, w, shape, weights = problem("planted", 5, 4, 1)
+        assert weights_dominate(w, shape, weights)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"one_hot": 0.5, "fill": -5.0},  # crowding pays
+            {"consecutive": 1e-3},  # a stay penalty, which the bound excludes
+        ],
+    )
+    def test_failing_weights(self, overrides):
+        _, w, shape, weights = problem("planted", 5, 4, 1, **overrides)
+        assert not weights_dominate(w, shape, weights)
+
+    def test_margins_need_energy_eps_slack(self):
+        # At rate 1e-12 every margin is positive but below ENERGY_EPS.
+        _, w, shape, _ = problem("planted", 5, 4, 1)
+        assert not weights_dominate(w, shape, default_weights(w, shape, rate=1e-12))
+
+
+FALLBACK_WEIGHTS = [
+    ["--weight-one-hot", "0.5", "--weight-fill", "-5"],
+    ["--weight-rate", "1e-12"],
+]
+
+
+def gen(tmp_path, n):
+    path = tmp_path / f"m{n}.csv"
+    argv = ["gen", "--n", str(n), "--seed", "7", "--plant", "0,1", "--strength", "1.05"]
+    assert main(argv + ["--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("flags", FALLBACK_WEIGHTS, ids=["crowding", "tiny-rate"])
+def test_fallback_enumerates_within_the_guard(tmp_path, capsys, monkeypatch, flags):
+    argv = ["solve", "--rates", gen(tmp_path, 5), "--loop-length", "4", *flags]
+    capsys.readouterr()
+    code = main(argv)
+    out = capsys.readouterr().out
+    # The enumerated ground state is infeasible at these weights.
+    assert code == 3
+    assert "best sample is infeasible:" in out
+    # The same output as the enumeration the exact solver ran before the DP.
+    monkeypatch.setattr(cli, "exact_optimum", lambda q, *_: solve_exact(q).samples[0])
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("flags", FALLBACK_WEIGHTS, ids=["crowding", "tiny-rate"])
+def test_fallback_beyond_the_guard_is_an_error(tmp_path, capsys, flags):
+    rates = gen(tmp_path, 30)
+    capsys.readouterr()
+    code = main(["solve", "--rates", rates, "--loop-length", "8", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "240 variables exceeds enumeration guard 26" in lines[0]
