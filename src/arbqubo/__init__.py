@@ -51,7 +51,6 @@ from .qubo import (
     Sample,
     SampleSet,
     qubo_to_json,
-    sampleset_from_json,
     sampleset_to_json,
 )
 from .rates import (

@@ -186,7 +186,9 @@ def run_batches(
     """Run a sampler ``batches`` times and record time and reads-to-optimum.
 
     The optimum is ``optimal_energy`` when given, else established once by
-    exact enumeration (:func:`ground_state`).  Batch ``b``
+    exact enumeration (:func:`ground_state`), which refuses more than
+    ``EXACT_MAX_VARS`` variables; past that, pass
+    ``exact_optimum(q, w, shape, weights).energy``.  Batch ``b``
     reseeds the sampler with ``params.seed + b`` so batches differ but the
     whole report stays reproducible.  ``solver`` is a name in
     :data:`SOLVER_REGISTRY`, whose rows carry the sampler's own solver

@@ -205,11 +205,12 @@ def _rates_from_csv(text: str) -> RateMatrix:
     index: dict[str, int] = {}  # label -> position, in first-appearance order
     entries: dict[tuple[str, str], float] = {}
     for row in reader:
-        if not row or all(not c.strip() for c in row):
+        cells = [c.strip() for c in row]
+        if not any(cells):
             continue
-        if len(row) != 3:
+        if len(cells) != 3:
             raise IncompleteMatrix(f"malformed row: {row}")
-        src, dst, raw = row[0].strip(), row[1].strip(), row[2].strip()
+        src, dst, raw = cells
         try:
             value = float(raw)
         except ValueError:

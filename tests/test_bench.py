@@ -25,11 +25,13 @@ from arbqubo import (
     SampleSet,
     SamplerParams,
     TimingLogRow,
+    TooLarge,
     WrongOrdering,
     build_qubo,
     default_weights,
     emit_report,
     emit_timing_means,
+    exact_optimum,
     first_optimum_read,
     generate_consistent,
     ground_state,
@@ -233,6 +235,18 @@ class TestRunBatches:
         assert [r.best_energy for r in report.rows] == [
             r.best_energy for r in again.rows
         ]
+
+    def test_optimum_beyond_enumeration_is_passed_in(self):
+        rm = plant_cycle(generate_consistent(30, seed=1), (0, 1, 2), strength=1.05)
+        w, shape = to_log_weights(rm), ProblemShape(30, 8)
+        weights = default_weights(w, shape)
+        q = build_qubo(w, shape, weights)
+        params = SamplerParams(num_reads=2, seed=1, sweeps_per_read=10)
+        with pytest.raises(TooLarge, match="240 variables exceeds enumeration guard"):
+            run_batches("sa", q, params, batches=1)
+        optimum = exact_optimum(q, w, shape, weights).energy
+        report = run_batches("sa", q, params, batches=2, optimal_energy=optimum)
+        assert [r.optimal_energy for r in report.rows] == [optimum, optimum]
 
     def test_sa_batches_reach_optimum(self):
         q = planted_qubo()

@@ -5,6 +5,9 @@ admits with N*K <= 22.  Column implemented so far:
     - ``exact_optimum``'s closed-walk DP and tie walk against enumeration
       (``ground_state``): the same bits at the same energy, ``==``.
 
+The DP's input, ``loop_tables``, is pinned on its own: a closed walk's
+energy read off the tables equals the QUBO's energy of the encoded walk.
+
 Plus the exact route's other branches: the enumeration fallback when the
 weights do not dominate, its error beyond the enumeration guard, the cap
 on tied loops, and the DP's blocking over starts.
@@ -24,6 +27,7 @@ from arbqubo import (
     TooLarge,
     build_qubo,
     default_weights,
+    encode_loop,
     generate_consistent,
     ground_state,
     plant_cycle,
@@ -32,7 +36,9 @@ from arbqubo import (
 )
 from arbqubo import cli, model
 from arbqubo.cli import main
-from arbqubo.model import exact_optimum, weights_dominate
+from arbqubo.model import exact_optimum, loop_tables, weights_dominate
+from arbqubo.qubo import ENERGY_EPS
+from arbqubo.solvers import state_energy
 
 SHAPES = [(n, k) for n in range(2, 12) for k in range(2, n + 2) if n * k <= 22]
 MARKETS = ["planted", "noisy", "consistent"]
@@ -74,6 +80,30 @@ def test_dp_matches_enumeration(monkeypatch, n, k, kind):
         best = exact_optimum(q, w, shape, weights)
         assert (best.bits, best.energy) == ground_state(q)
         assert best.read_index == 1
+
+
+TABLE_SHAPES = [(7, 2), (5, 3), (4, 4), (6, 5), (5, 6), (30, 8)]
+
+
+@pytest.mark.parametrize("kind", MARKETS)
+@pytest.mark.parametrize("n, k", TABLE_SHAPES, ids=[f"N{n}K{k}" for n, k in TABLE_SHAPES])
+def test_loop_tables_price_random_closed_walks(n, k, kind):
+    rng = np.random.default_rng(n * k)
+    for seed in SEEDS:
+        q, _, shape, _ = problem(kind, n, k, seed)
+        lin, pair, close = loop_tables(q, shape)
+        for _ in range(20):
+            walk = list(rng.integers(n, size=k - 1))
+            walk.append(walk[0])
+            energy = (
+                q.offset
+                + close[walk[0]]
+                + sum(lin[p, c] for p, c in enumerate(walk))
+                + sum(pair[p, c, d] for p, (c, d) in enumerate(zip(walk, walk[1:])))
+            )
+            bits = encode_loop(walk, shape)
+            assert abs(energy - q.energy(bits)) <= ENERGY_EPS
+            assert abs(energy - state_energy(q, bits)) <= ENERGY_EPS
 
 
 def test_one_start_per_block_gives_the_same_optimum(monkeypatch):

@@ -6,7 +6,6 @@ implementation it checks.
 """
 
 import json
-import math
 import warnings
 
 import numpy as np
@@ -20,7 +19,6 @@ from arbqubo import (
     SampleSet,
     TooLarge,
     qubo_to_json,
-    sampleset_from_json,
     sampleset_to_json,
 )
 from arbqubo.qubo import QUBO_MAX_VARS
@@ -242,85 +240,6 @@ class TestJsonInterchange:
         assert obj["terms"] == [[0, 2, 1.25]]
         assert obj["offset"] == 0.5
 
-    @pytest.mark.parametrize(
-        "record,error",
-        [
-            ({"bits": "012", "energy": 1.0, "read_index": 1}, DimensionError),
-            ({"bits": [0, 1], "energy": 1.0, "read_index": 1}, DimensionError),
-            ({"bits": "01", "energy": 1.0, "read_index": 1.0}, DimensionError),
-            ({"bits": "01", "energy": "1.0", "read_index": 1}, ModelError),
-            ({"bits": "01", "energy": math.nan, "read_index": 1}, ModelError),
-            ({"bits": "01", "energy": math.inf, "read_index": 1}, ModelError),
-            ({"bits": "01", "energy": -math.inf, "read_index": 1}, ModelError),
-        ],
-        ids=[
-            "digit-2", "list-bits", "float-read-index", "string-energy",
-            "nan-energy", "inf-energy", "minus-inf-energy",
-        ],
-    )
-    def test_sampleset_rejects_mistyped_records(self, record, error):
-        text = json.dumps({"solver": "tabu", "params": None, "timing": {}, "samples": [record]})
-        with pytest.raises(error):
-            sampleset_from_json(text)
-
-    @pytest.mark.parametrize(
-        "text,error",
-        [
-            ("nope", DimensionError),
-            (b"\xff", DimensionError),
-            ("[]", DimensionError),
-            ('{"samples": [{}]}', DimensionError),
-            ('{"solver": "tabu", "samples": [{}]}', DimensionError),
-            ('{"solver": "tabu", "samples": [{"bits": "01", "energy": 1.0}]}', DimensionError),
-            ('{"solver": "tabu", "samples": ["{\\"bits\\": \\"01\\"}"]}', DimensionError),
-            ('{"solver": "tabu", "samples": 5}', DimensionError),
-            ('{"solver": "tabu", "samples": [], "timing": []}', DimensionError),
-            ('{"solver": 5, "samples": []}', DimensionError),
-            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": "1.5"}}', ModelError),
-            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": true}}', ModelError),
-            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": "abc"}}', ModelError),
-            ('{"solver": "tabu", "samples": [], "timing": {"wall_time_us": NaN}}', ModelError),
-            (
-                '{"solver": "tabu", "samples": [{"bits": "01", "energy": 1.0, "read_index": 1}, '
-                '{"bits": "0", "energy": 1.0, "read_index": 2}]}',
-                DimensionError,
-            ),
-            ('{"solver": "tabu", "samples": [], "params": 5}', DimensionError),
-            ('{"solver": "tabu", "samples": [], "params": [1]}', DimensionError),
-        ],
-        ids=[
-            "not-json", "not-utf8", "list", "no-solver", "empty-record", "no-read-index",
-            "string-record", "samples-number", "timing-list", "number-solver",
-            "string-timing", "bool-timing", "text-timing", "nan-timing", "mixed-widths",
-            "number-params", "list-params",
-        ],
-    )
-    def test_sampleset_rejects_malformed_document(self, text, error):
-        with pytest.raises(error):
-            sampleset_from_json(text)
-
-    @pytest.mark.parametrize(
-        "records,message",
-        [
-            ([("01", 0), ("10", -3)], "read_index 0 "),
-            ([("01", 2), ("10", 1), ("11", 2)], "read_index 2 "),
-            ([("", 1), ("", 2)], r"widths \[0\]"),
-        ],
-        ids=["non-positive-read-index", "repeated-read-index", "zero-width-bits"],
-    )
-    def test_sampleset_rejects_bad_reads(self, records, message):
-        # Each would load into a set whose first_optimum_read answers a
-        # read that was never produced, or whose best sample has no bits.
-        samples = [{"bits": bits, "energy": -1.0, "read_index": r} for bits, r in records]
-        text = json.dumps({"solver": "tabu", "samples": samples})
-        with pytest.raises(DimensionError, match=message):
-            sampleset_from_json(text)
-
-    @pytest.mark.parametrize("params", [None, {}, {"seed": 1}])
-    def test_sampleset_params_object_or_null(self, params):
-        text = json.dumps({"solver": "tabu", "params": params, "samples": []})
-        assert sampleset_from_json(text).params == params
-
     def test_sampleset_round_trip(self):
         s = SampleSet(
             samples=[
@@ -331,7 +250,16 @@ class TestJsonInterchange:
             solver_name="tabu",
             params={"num_reads": 2, "seed": 9},
         )
-        again = sampleset_from_json(sampleset_to_json(s))
+        obj = json.loads(sampleset_to_json(s))
+        again = SampleSet(
+            samples=[
+                Sample(tuple(map(int, r["bits"])), r["energy"], r["read_index"])
+                for r in obj["samples"]
+            ],
+            timing=obj["timing"],
+            solver_name=obj["solver"],
+            params=obj["params"],
+        )
         assert again == s
 
     def test_sampleset_json_shape(self):
@@ -352,6 +280,5 @@ class TestJsonInterchange:
         )
 
     def test_empty_sampleset_has_no_best(self):
-        s = sampleset_from_json('{"solver": "tabu", "samples": []}')
         with pytest.raises(DimensionError):
-            s.best()
+            SampleSet([], {}, "tabu").best()

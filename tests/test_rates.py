@@ -8,6 +8,7 @@ Frozen expected values:
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ class TestLoadRates:
         # Pairs are checked in label order, so the first missing one is named.
         with pytest.raises(IncompleteMatrix, match="missing pair USD->GBP"):
             load_rates(text.replace(b"USD,GBP,0.7\n", b"EUR,EUR,1\n"), "csv")
+
+    def test_blank_rows_skipped_and_cells_stripped(self):
+        text = b"from,to,rate\n\n , , \n A , B , 0.85 \nB,A,1.2\n"
+        rm = load_rates(text, "csv")
+        assert rm.labels == ("A", "B")
+        assert rm.rate.tolist() == [[1.0, 0.85], [1.2, 1.0]]
 
     def test_bytes_input_accepted(self):
         rm = load_rates(fig1_csv_bytes(), "csv")
@@ -262,6 +269,11 @@ class TestRejectedInput:
     def test_load_rates(self, payload, fmt, error):
         with pytest.raises(error):
             load_rates(payload, fmt)
+
+    def test_short_row_with_a_blank_cell(self):
+        # Only a row of blank cells is skipped; the error shows the row as read.
+        with pytest.raises(IncompleteMatrix, match=re.escape("malformed row: [' A ', '']")):
+            load_rates(b"from,to,rate\n A ,\nB,A,0.5\n", "csv")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown rate format"):
