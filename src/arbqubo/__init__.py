@@ -39,7 +39,6 @@ from .model import (
     decode,
     default_weights,
     encode_loop,
-    exact_optimum,
     model_to_json,
     profitability,
     var_index,

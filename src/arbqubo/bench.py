@@ -24,9 +24,9 @@ from .solvers import (
     SA_SOLVER_NAME,
     TABU_SOLVER_NAME,
     SamplerParams,
-    ground_state,
     sample_sa,
     sample_tabu,
+    solve_exact,
 )
 
 #: Worst-case initialization overhead in microseconds (vendor-quoted range
@@ -186,9 +186,8 @@ def run_batches(
     """Run a sampler ``batches`` times and record time and reads-to-optimum.
 
     The optimum is ``optimal_energy`` when given, else established once by
-    exact enumeration (:func:`ground_state`), which refuses more than
-    ``EXACT_MAX_VARS`` variables; past that, pass
-    ``exact_optimum(q, w, shape, weights).energy``.  Batch ``b``
+    :func:`solve_exact`, which answers at any size on a QUBO that
+    ``build_qubo`` tagged with its loop shape.  Batch ``b``
     reseeds the sampler with ``params.seed + b`` so batches differ but the
     whole report stays reproducible.  ``solver`` is a name in
     :data:`SOLVER_REGISTRY`, whose rows carry the sampler's own solver
@@ -201,7 +200,7 @@ def run_batches(
         raise ParamError(f"batches must be >= 1, got {batches}")
 
     if optimal_energy is None:
-        _, optimal_energy = ground_state(q)
+        optimal_energy = solve_exact(q).best().energy
     report = BenchReport()
     for batch in range(1, batches + 1):
         batch_params = replace(params, seed=params.seed + batch)

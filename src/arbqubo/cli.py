@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import time
 from dataclasses import fields, replace
 
 from .bench import (
@@ -35,12 +34,11 @@ from .model import (
     canonical_rotation,
     decode,
     default_weights,
-    exact_optimum,
     model_to_json,
     profitability,
 )
 from .oracle import PROFIT_EPS, best_cycle_bruteforce, has_arbitrage_bellman_ford
-from .qubo import SampleSet, qubo_to_json, sampleset_to_json
+from .qubo import qubo_to_json, sampleset_to_json
 from .rates import (
     dump_rates_csv,
     generate_consistent,
@@ -48,7 +46,7 @@ from .rates import (
     plant_cycle,
     to_log_weights,
 )
-from .solvers import EXACT_SOLVER_NAME, SamplerParams
+from .solvers import EXACT_SOLVER_NAME, SamplerParams, solve_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,10 +194,7 @@ def cmd_solve(args) -> int:
     q = build_qubo(w, shape, weights)
 
     if args.solver == EXACT_SOLVER_NAME:
-        t0 = time.perf_counter()
-        optimum = exact_optimum(q, w, shape, weights)
-        wall_time_us = (time.perf_counter() - t0) * 1e6
-        result = SampleSet([optimum], {"wall_time_us": wall_time_us}, EXACT_SOLVER_NAME)
+        result = solve_exact(q)
     else:
         params = SamplerParams(
             num_reads=args.reads, seed=args.seed, sweeps_per_read=args.sweeps
@@ -239,13 +234,12 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     _, shape, w = _problem(args)
-    weights = default_weights(w, shape)
-    q = build_qubo(w, shape, weights)
+    q = build_qubo(w, shape, default_weights(w, shape))
     solvers = [token.strip() for token in args.solvers.split(",")]
     for solver in solvers:  # reject unknown names before any batch runs
         lookup_solver(solver)
 
-    optimal_energy = exact_optimum(q, w, shape, weights).energy
+    optimal_energy = solve_exact(q).best().energy
     combined = BenchReport()
     for solver in solvers:
         for reads in args.reads:

@@ -19,9 +19,11 @@ term families populate the matrix:
 With the shipped calibration every constraint-violating bitvector sits
 strictly above the best feasible loop, so the ground state is always a
 decodable loop; see docs/weight_calibration.md for the derivation.
-:func:`exact_optimum` relies on it: under such weights it finds the
-ground state among closed walks alone, with a min-plus DP over the few
-coefficients a loop reads (:func:`loop_tables`), at any size.
+:func:`build_qubo` tags a QUBO built under such weights with its shape
+(``q.loop_shape``), and :func:`loop_optimum` then finds its ground state
+among closed walks alone, with a min-plus DP over the few coefficients a
+loop reads (:func:`loop_tables`), at any size; ``solvers.solve_exact``
+takes that route.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from dataclasses import asdict, astuple, dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ModelError, NotFeasible, TooLarge
-from .qubo import ENERGY_EPS, QuboMatrix, Sample
+from .qubo import ENERGY_EPS, QuboMatrix
 from .rates import LogWeightMatrix, RateMatrix, cycle_product
-from .solvers import EXACT_MAX_VARS, ground_state, state_energy
 
 MULTIPLE_IN_POSITION = "MultipleInPosition"
 EMPTY_POSITION = "EmptyPosition"
@@ -196,6 +197,8 @@ def build_qubo(
     order fixes the float sums.  No cell gets more than two terms today
     (endpoint and fill on the diagonal, endpoint and consecutive at
     K = 2), so the bits do not yet depend on it.
+
+    ``q.loop_shape`` is ``shape`` when :func:`weights_dominate`, else None.
     """
     if w.n != shape.n_currencies:
         raise ModelError(
@@ -220,6 +223,7 @@ def build_qubo(
 
     q.add_terms(var[:, :-1], var[:, 1:], weights.consecutive)
     q.add_terms(var, var, weights.fill)
+    q.loop_shape = shape if weights_dominate(w, shape, weights) else None
     return q
 
 
@@ -386,33 +390,14 @@ def _tied_loops(lin, pair, close, block: int) -> np.ndarray:
     return np.column_stack([walks, walks[:, 0]])
 
 
-def exact_optimum(
-    q: QuboMatrix, w: LogWeightMatrix, shape: ProblemShape, weights: HamiltonianWeights
-) -> Sample:
-    """The optimum of ``q = build_qubo(w, shape, weights)`` as read 1: the
-    state :func:`~arbqubo.solvers.ground_state` picks, at its
-    :func:`~arbqubo.solvers.state_energy`.
+def loop_optimum(q: QuboMatrix, shape: ProblemShape) -> tuple[int, ...]:
+    """The bits of the ground state of ``q``, given that it is a closed
+    walk on ``shape``: the state enumeration would pick.
 
-    When :func:`weights_dominate`, the optimum is a feasible loop, so the
-    closed-walk DP finds it in O(K * N^3) at any size.  Of the loops
-    within ``ENERGY_EPS`` of it the lowest bits win, enumeration's tie
+    The DP finds the loops within ``ENERGY_EPS`` of the optimum in
+    O(K * N^3), and the lowest bits among them win, enumeration's tie
     rule; more than ``EXACT_MAX_TIED_LOOPS`` of them is :class:`TooLarge`.
-    Otherwise enumeration answers within ``EXACT_MAX_VARS``, and beyond it
-    the weights are a :class:`ModelError`.
     """
-    if (w.n, q.n_vars) != (shape.n_currencies, shape.n_vars):
-        raise DimensionError(
-            f"{w.n} currencies and {q.n_vars} variables do not fit shape "
-            f"{shape.n_currencies}x{shape.loop_length}"
-        )
-    q.check_energy_range()
-    if not weights_dominate(w, shape, weights):
-        if q.n_vars > EXACT_MAX_VARS:
-            raise ModelError(
-                f"weights do not dominate the constraint penalties by ENERGY_EPS, "
-                f"and {q.n_vars} variables exceeds enumeration guard {EXACT_MAX_VARS}"
-            )
-        return Sample(*ground_state(q), 1)
     block = max(1, _DP_BLOCK_ELEMENTS // shape.n_currencies**2)
     loops = _tied_loops(*loop_tables(q, shape), block).tolist()
     n, k = shape.n_vars, shape.loop_length
@@ -420,8 +405,7 @@ def exact_optimum(
     def state_index(loop):  # the lowest index is the lowest bits
         return sum(1 << (n - 1 - c * k - p) for p, c in enumerate(loop))
 
-    bits = encode_loop(min(loops, key=state_index), shape)
-    return Sample(bits, state_energy(q, bits), 1)
+    return encode_loop(min(loops, key=state_index), shape)
 
 
 # -- model description output ------------------------------------------------

@@ -47,6 +47,10 @@ class QuboMatrix:
     sum ``S`` of coefficient and offset magnitudes at or past DBL_MAX/4,
     even where every energy is finite (linear terms +1e308 and -1e308):
     any sum a solver forms is at most ``2 * S``, so below it none overflows.
+
+    ``loop_shape``, which equality and JSON ignore, is the shape whose
+    closed walks hold the optimum: ``model.build_qubo`` sets it, and any
+    added term clears it.
     """
 
     def __init__(self, n_vars: int, offset: float = 0.0):
@@ -59,6 +63,7 @@ class QuboMatrix:
         if not math.isfinite(self.offset):
             raise ModelError(f"offset must be finite, got {self.offset}")
         self._coeff = np.zeros((n_vars, n_vars))
+        self.loop_shape = None
 
     def add_coefficient(self, i: int, j: int, value: float) -> "QuboMatrix":
         """Accumulate one term; see :meth:`add_terms`."""
@@ -72,7 +77,8 @@ class QuboMatrix:
         call leaves the same bits as the scalar adds it replaces.
         Accumulation is additive so independently-built objective and
         penalty terms compose by simple summation.  A non-finite sum raises
-        ``ModelError`` and leaves the matrix as it was.
+        ``ModelError`` and leaves the matrix as it was; any other call
+        clears ``loop_shape``.
         """
         a, b = np.minimum(rows, cols), np.maximum(rows, cols)
         if a.size and not (0 <= a.min() and b.max() < self.n_vars):
@@ -90,6 +96,7 @@ class QuboMatrix:
             raise ModelError(
                 f"coefficient ({a.flat[t]},{b.flat[t]}) must be finite, got {after.flat[t]}"
             )
+        self.loop_shape = None
         return self
 
     def coefficient(self, i: int, j: int) -> float:

@@ -1,28 +1,33 @@
-"""Classical samplers over a QuboMatrix: exact enumeration, simulated
+"""Classical samplers over a QuboMatrix: the exact solver, simulated
 annealing, and tabu search.
 
 All three return a :class:`~arbqubo.qubo.SampleSet`.  The two stochastic
 samplers share one read driver, :func:`_sample_reads`, whose docstring is
 their read contract: one sample per read in production order, read ``r``
 seeded with ``seed ^ r``.  The exact solver instead returns one sample,
-the optimum, as read 1 -- an enumeration has no production order, and
-downstream first-optimum analysis rejects its output by solver name.
+the optimum, as read 1 -- it has no production order, and downstream
+first-optimum analysis rejects its output by solver name.
+
+:func:`solve_exact` is the one exact solver.  On a QUBO that
+``model.build_qubo`` tagged with its ``loop_shape`` it runs the
+closed-walk DP (``model.loop_optimum``) at any size, else it enumerates
+within ``EXACT_MAX_VARS`` variables; :func:`ground_state` always
+enumerates, the oracle the DP is checked against.  Among states within
+``ENERGY_EPS`` of the minimum, both routes pick the lowest index
+(lexicographic bits), so the pick does not depend on the order in which
+an energy's terms were summed.
 
 Enumeration splits the variables into two halves (meet in the middle,
 :func:`_energy_kernel`): the energies of each half and the couplings
 between them are tabulated once, and each block of 2^16 states is then
 one small matrix product plus two broadcast adds.  One scan,
-:func:`_scan_optimum`, finds the optimum of :func:`ground_state` and
-:func:`solve_exact` a block at a time.  Among states within
-``ENERGY_EPS`` of the minimum, the lowest index (lexicographic bits) is
-the optimum, so the pick does not depend on the order in which an
-energy's terms were summed.
+:func:`_scan_optimum`, finds the optimum a block at a time.
 
 One energy per state: an exact optimum is reported at its
 :func:`state_energy`, one evaluation of that state alone, not at the
-sum that picked it.  The scan's sums and the closed-walk DP's
-(``model.exact_optimum``) differ in the last bits, so two routes that
-pick the same state report the same energy only this way.
+sum that picked it.  The scan's sums and the DP's differ in the last
+bits, so two routes that pick the same state report the same energy
+only this way.
 
 Both samplers vectorize across reads without changing what a read does.
 Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
@@ -55,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, ParamError, TooLarge
+from .model import loop_optimum
 from .qubo import (
     ENERGY_EPS,
     QuboMatrix,
@@ -172,7 +178,10 @@ def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
     """
     q.check_energy_range()
     if q.n_vars > EXACT_MAX_VARS:
-        raise TooLarge(f"{q.n_vars} variables exceeds enumeration guard {EXACT_MAX_VARS}")
+        raise TooLarge(
+            f"{q.n_vars} variables exceeds enumeration guard {EXACT_MAX_VARS}; past it the "
+            "exact solver needs weights that dominate the constraint penalties by ENERGY_EPS"
+        )
     n = q.n_vars
     low = (n + 1) // 2
     high = n - low
@@ -193,9 +202,9 @@ def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
     return range(0, 1 << n, rows << low), chunk
 
 
-def _scan_optimum(q: QuboMatrix) -> Sample:
-    """The optimum, the lowest state within ``ENERGY_EPS`` of the minimum,
-    as read 1 at its :func:`state_energy`.
+def _scan_optimum(q: QuboMatrix) -> tuple[int, ...]:
+    """The bits of the optimum, the lowest state within ``ENERGY_EPS`` of
+    the minimum.
 
     A first pass keeps each chunk's minimum.  The first chunk within
     ``ENERGY_EPS`` of the lowest, which holds the optimum, is then computed
@@ -207,25 +216,30 @@ def _scan_optimum(q: QuboMatrix) -> Sample:
     bar = min(lows) + ENERGY_EPS
     first = next(start for start, low in zip(starts, lows) if low <= bar)
     pos = int(np.argmax(chunk(first) <= bar))
-    bits = _state_bits(first + pos, q.n_vars)
-    return Sample(bits, state_energy(q, bits), 1)
+    return _state_bits(first + pos, q.n_vars)
 
 
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
-    """Lowest-energy state: of the states within ``ENERGY_EPS`` of the
-    minimum, the lowest index (lexicographic bits).  The scan holds one
-    chunk of 2^16 energies (512 KiB) at a time."""
-    best = _scan_optimum(q)
-    return best.bits, best.energy
+    """Lowest-energy state by enumeration, at its :func:`state_energy`: of
+    the states within ``ENERGY_EPS`` of the minimum, the lowest index
+    (lexicographic bits).  The scan holds one chunk of 2^16 energies
+    (512 KiB) at a time."""
+    bits = _scan_optimum(q)
+    return bits, state_energy(q, bits)
 
 
 def solve_exact(q: QuboMatrix) -> SampleSet:
     """The optimum of :func:`ground_state` as a one-sample set, read 1,
-    with the scan's wall time."""
+    with the solve's wall time: by the closed-walk DP when ``q.loop_shape``
+    is set, else by enumeration."""
     t0 = time.perf_counter()
-    best = _scan_optimum(q)
+    if q.loop_shape is None:
+        bits = _scan_optimum(q)
+    else:
+        q.check_energy_range()
+        bits = loop_optimum(q, q.loop_shape)
     return SampleSet(
-        samples=[best],
+        samples=[Sample(bits, state_energy(q, bits), 1)],
         timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
         solver_name=EXACT_SOLVER_NAME,
     )

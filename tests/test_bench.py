@@ -31,7 +31,6 @@ from arbqubo import (
     default_weights,
     emit_report,
     emit_timing_means,
-    exact_optimum,
     first_optimum_read,
     generate_consistent,
     ground_state,
@@ -239,14 +238,17 @@ class TestRunBatches:
     def test_optimum_beyond_enumeration_is_passed_in(self):
         rm = plant_cycle(generate_consistent(30, seed=1), (0, 1, 2), strength=1.05)
         w, shape = to_log_weights(rm), ProblemShape(30, 8)
-        weights = default_weights(w, shape)
-        q = build_qubo(w, shape, weights)
+        q = build_qubo(w, shape, default_weights(w, shape))
         params = SamplerParams(num_reads=2, seed=1, sweeps_per_read=10)
-        with pytest.raises(TooLarge, match="240 variables exceeds enumeration guard"):
-            run_batches("sa", q, params, batches=1)
-        optimum = exact_optimum(q, w, shape, weights).energy
+        optimum = solve_exact(q).best().energy
+        report = run_batches("sa", q, params, batches=2)
+        assert [r.optimal_energy for r in report.rows] == [optimum, optimum]
         report = run_batches("sa", q, params, batches=2, optimal_energy=optimum)
         assert [r.optimal_energy for r in report.rows] == [optimum, optimum]
+        # Without the loop-shape tag only enumeration could find the optimum.
+        q.add_coefficient(0, 0, 0.0)
+        with pytest.raises(TooLarge, match="240 variables exceeds enumeration guard"):
+            run_batches("sa", q, params, batches=1)
 
     def test_sa_batches_reach_optimum(self):
         q = planted_qubo()

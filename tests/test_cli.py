@@ -21,7 +21,6 @@ from arbqubo import (
     to_log_weights,
 )
 from arbqubo import bench, cli, qubo
-from arbqubo.model import exact_optimum
 from arbqubo.cli import main
 
 from conftest import fig1_csv_bytes
@@ -287,16 +286,13 @@ class TestBench:
         report_file = tmp_path / "report.csv"
         energies = []
 
-        def counted(*args):
-            energies.append(exact_optimum(*args).energy)
-            return exact_optimum(*args)
+        def counted(q):
+            result = solve_exact(q)
+            energies.append(result.best().energy)
+            return result
 
-        def enumerated(q):
-            energies.append(ground_state(q)[1])
-            return ground_state(q)
-
-        monkeypatch.setattr(cli, "exact_optimum", counted)
-        monkeypatch.setattr(bench, "ground_state", enumerated)
+        monkeypatch.setattr(cli, "solve_exact", counted)
+        monkeypatch.setattr(bench, "solve_exact", counted)
         code = main(
             [
                 "bench", "--rates", str(rates), "--loop-length", "3",

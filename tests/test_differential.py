@@ -2,15 +2,16 @@
 
 Rows are (shape, market kind, seed) over every shape ``ProblemShape``
 admits with N*K <= 22.  Column implemented so far:
-    - ``exact_optimum``'s closed-walk DP and tie walk against enumeration
+    - ``solve_exact``'s closed-walk DP and tie walk against enumeration
       (``ground_state``): the same bits at the same energy, ``==``.
 
 The DP's input, ``loop_tables``, is pinned on its own: a closed walk's
 energy read off the tables equals the QUBO's energy of the encoded walk.
 
-Plus the exact route's other branches: the enumeration fallback when the
-weights do not dominate, its error beyond the enumeration guard, the cap
-on tied loops, and the DP's blocking over starts.
+Plus the exact route's other branches: the loop-shape tag that selects
+the DP, the enumeration fallback when the weights do not dominate, its
+error beyond the enumeration guard, the cap on tied loops, and the DP's
+blocking over starts.
 """
 
 import dataclasses
@@ -21,22 +22,27 @@ import numpy as np
 import pytest
 
 from arbqubo import (
-    DimensionError,
     ProblemShape,
+    QuboMatrix,
     RateMatrix,
+    Sample,
+    SampleSet,
     TooLarge,
     build_qubo,
+    decode,
     default_weights,
     encode_loop,
     generate_consistent,
     ground_state,
     plant_cycle,
+    qubo_to_json,
     solve_exact,
     to_log_weights,
+    var_index,
 )
-from arbqubo import cli, model
+from arbqubo import cli, model, solvers
 from arbqubo.cli import main
-from arbqubo.model import exact_optimum, loop_tables, weights_dominate
+from arbqubo.model import loop_tables, weights_dominate
 from arbqubo.qubo import ENERGY_EPS
 from arbqubo.solvers import state_energy
 
@@ -73,12 +79,14 @@ def no_enumeration(q):
 @pytest.mark.parametrize("kind", MARKETS)
 @pytest.mark.parametrize("n, k", SHAPES, ids=[f"N{n}K{k}" for n, k in SHAPES])
 def test_dp_matches_enumeration(monkeypatch, n, k, kind):
-    monkeypatch.setattr(model, "ground_state", no_enumeration)
-    for seed in SEEDS:
-        q, w, shape, weights = problem(kind, n, k, seed)
+    problems = [problem(kind, n, k, seed) for seed in SEEDS]
+    enumerated = [ground_state(q) for q, *_ in problems]
+    monkeypatch.setattr(solvers, "_scan_optimum", no_enumeration)
+    for (q, w, shape, weights), expected in zip(problems, enumerated):
         assert weights_dominate(w, shape, weights)
-        best = exact_optimum(q, w, shape, weights)
-        assert (best.bits, best.energy) == ground_state(q)
+        assert q.loop_shape == shape
+        best = solve_exact(q).samples[0]
+        assert (best.bits, best.energy) == expected
         assert best.read_index == 1
 
 
@@ -108,17 +116,17 @@ def test_loop_tables_price_random_closed_walks(n, k, kind):
 
 def test_one_start_per_block_gives_the_same_optimum(monkeypatch):
     cases = [("planted", 30, 8, 1), ("noisy", 11, 2, 2), ("consistent", 7, 3, 3), ("noisy", 5, 4, 1)]
-    wide = [exact_optimum(*problem(*case)) for case in cases]
+    wide = [solve_exact(problem(*case)[0]).samples for case in cases]
     monkeypatch.setattr(model, "_DP_BLOCK_ELEMENTS", 1)
-    assert [exact_optimum(*problem(*case)) for case in cases] == wide
+    assert [solve_exact(problem(*case)[0]).samples for case in cases] == wide
 
 
 def test_dp_memory_is_blocked_over_starts():
     # N^3 floats at N=160 would take 32 MiB; a block holds at most 8 MiB.
-    q, w, shape, weights = problem("planted", 160, 3, 1)
+    q, *_ = problem("planted", 160, 3, 1)
     tracemalloc.start()
     try:
-        exact_optimum(q, w, shape, weights)
+        solve_exact(q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -128,18 +136,47 @@ def test_dp_memory_is_blocked_over_starts():
 def test_tied_loops_are_capped():
     # Without the consecutive reward every closed walk of a consistent
     # market ties: 30^7 of them.
-    q, w, shape, weights = problem("consistent", 30, 8, 1, consecutive=0.0)
+    q, *_ = problem("consistent", 30, 8, 1, consecutive=0.0)
     t0 = time.perf_counter()
     with pytest.raises(TooLarge, match="more than 65536 loops"):
-        exact_optimum(q, w, shape, weights)
+        solve_exact(q)
     assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("n, k", [(4, 5), (5, 3)])
-def test_shape_must_fit_the_problem(n, k):
-    q, w, _, weights = problem("planted", 5, 4, 1)
-    with pytest.raises(DimensionError, match="do not fit shape"):
-        exact_optimum(q, w, ProblemShape(n, k), weights)
+class TestLoopShape:
+    def test_dominating_weights_tag_the_shape(self):
+        q, _, shape, _ = problem("planted", 5, 4, 1)
+        assert q.loop_shape == shape
+
+    def test_weights_that_do_not_dominate_leave_no_tag(self):
+        # The two FALLBACK_WEIGHTS below, as the CLI resolves them.
+        q, w, shape, _ = problem("planted", 5, 4, 1, one_hot=0.5, fill=-5.0)
+        assert q.loop_shape is None
+        assert build_qubo(w, shape, default_weights(w, shape, rate=1e-12)).loop_shape is None
+
+    def test_any_added_term_clears_the_tag(self):
+        q, *_ = problem("planted", 5, 4, 1)
+        q.add_coefficient(0, 0, 0.0)
+        assert q.loop_shape is None
+        q, *_ = problem("planted", 5, 4, 1)
+        q.add_terms([0, 1], [2, 3], [0.0, 0.0])
+        assert q.loop_shape is None
+
+    def test_equality_and_json_ignore_the_tag(self):
+        q, *_ = problem("planted", 5, 4, 1)
+        rows, cols = np.nonzero(q.upper)
+        plain = QuboMatrix(q.n_vars, q.offset).add_terms(rows, cols, q.upper[rows, cols])
+        assert plain.loop_shape is None
+        assert plain == q and qubo_to_json(plain) == qubo_to_json(q)
+
+    def test_an_infeasible_optimum_is_enumerated(self):
+        q, _, shape, weights = problem("planted", 5, 4, 1)
+        # Currencies 0 and 1 both at position 1 now pay far more than the
+        # one-hot penalty costs, so the DP's closed walks miss the optimum.
+        q.add_coefficient(var_index(0, 1, shape), var_index(1, 1, shape), -10 * weights.one_hot)
+        best = solve_exact(q).samples[0]
+        assert (best.bits, best.energy) == ground_state(q)
+        assert not decode(best.bits, shape).feasible
 
 
 class TestDominance:
@@ -186,8 +223,11 @@ def test_fallback_enumerates_within_the_guard(tmp_path, capsys, monkeypatch, fla
     # The enumerated ground state is infeasible at these weights.
     assert code == 3
     assert "best sample is infeasible:" in out
-    # The same output as the enumeration the exact solver ran before the DP.
-    monkeypatch.setattr(cli, "exact_optimum", lambda q, *_: solve_exact(q).samples[0])
+    # The same output as the enumerated ground state.
+    def enumerated(q):
+        return SampleSet([Sample(*ground_state(q), 1)], {}, "exact")
+
+    monkeypatch.setattr(cli, "solve_exact", enumerated)
     assert main(argv) == code
     assert capsys.readouterr().out == out
 
@@ -203,3 +243,4 @@ def test_fallback_beyond_the_guard_is_an_error(tmp_path, capsys, flags):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "240 variables exceeds enumeration guard 26" in lines[0]
+    assert "weights that dominate the constraint penalties" in lines[0]
