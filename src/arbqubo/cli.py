@@ -81,7 +81,7 @@ def _read_counts(text: str) -> list[int]:
 
 
 def _read_rates(path: str):
-    fmt = "json" if path.endswith(".json") else "csv"
+    fmt = "json" if path.lower().endswith(".json") else "csv"
     with open(path, "rb") as fh:
         return load_rates(fh, fmt)
 

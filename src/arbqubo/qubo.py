@@ -4,6 +4,9 @@ Energies follow the upper-triangular convention: diagonal entries are the
 linear coefficients, entries above the diagonal the pairwise couplings, and
 a tracked constant offset sits on top so reported energies can be compared
 against hand-computed objective values instead of drifting by a constant.
+Every energy the package reports is ``QuboMatrix.energies`` of its state:
+one evaluator, whose value for a state never depends on the states
+evaluated with it.
 """
 
 from __future__ import annotations
@@ -76,12 +79,13 @@ class QuboMatrix:
         it.  Terms add in order, duplicates one after another, so a bulk
         call leaves the same bits as the scalar adds it replaces.
         Accumulation is additive so independently-built objective and
-        penalty terms compose by simple summation.  A non-finite sum raises
-        ``ModelError`` and leaves the matrix as it was; any other call
-        clears ``loop_shape``.
+        penalty terms compose by simple summation.  An index that is not an
+        integer in [0, n_vars) raises ``IndexError``, and a non-finite sum
+        ``ModelError``; either leaves the matrix as it was, and any other
+        call clears ``loop_shape``.
         """
         a, b = np.minimum(rows, cols), np.maximum(rows, cols)
-        if a.size and not (0 <= a.min() and b.max() < self.n_vars):
+        if a.size and not (a.dtype.kind in "iu" and 0 <= a.min() and b.max() < self.n_vars):
             for i, j in zip(np.ravel(rows), np.ravel(cols)):
                 self._check_index(i)
                 self._check_index(j)
@@ -100,26 +104,31 @@ class QuboMatrix:
         return self
 
     def coefficient(self, i: int, j: int) -> float:
-        self._check_index(i)
-        self._check_index(j)
-        a, b = (i, j) if i <= j else (j, i)
+        a, b = sorted((self._check_index(i), self._check_index(j)))
         return float(self._coeff[a, b])
 
+    def energies(self, states) -> np.ndarray:
+        """The energy of each row of ``states``: each row takes the same
+        (1, n) product, a stacked matmul, so no row's value depends on the
+        rows evaluated with it."""
+        x = np.asarray(states, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.n_vars:
+            raise DimensionError(f"states have shape {x.shape}, expected (rows, {self.n_vars})")
+        return ((x[:, None, :] @ self._coeff)[:, 0, :] * x).sum(axis=1) + self.offset
+
     def energy(self, x) -> float:
-        """Evaluate sum_i q[i,i] x_i + sum_{i<j} q[i,j] x_i x_j + offset."""
-        v = self._as_vector(x)
-        return float(v @ self._coeff @ v + self.offset)
+        """sum_i q[i,i] x_i + sum_{i<j} q[i,j] x_i x_j + offset: the one
+        row of :meth:`energies`."""
+        return float(self.energies(self._as_vector(x)[None])[0])
 
     def energy_delta(self, x, flip: int) -> float:
-        """Energy change from flipping bit ``flip``, in O(n) from its row/column."""
-        self._check_index(flip)
-        v = self._as_vector(x)
-        sign = 1.0 - 2.0 * v[flip]
-        diag = self._coeff[flip, flip]
-        # Row + column sweep double-counts the diagonal entry when the bit
-        # is set; subtract that before adding the linear term once.
-        coupling = self._coeff[flip, :] @ v + self._coeff[:, flip] @ v
-        return float(sign * (diag + coupling - 2.0 * diag * v[flip]))
+        """Energy change from flipping bit ``flip``: its sign ``1 - 2x``
+        times its local field, the linear term plus the couplings to the
+        set bits, as the samplers take a flip's delta."""
+        f = self._check_index(flip)
+        v, c = self._as_vector(x), self._coeff
+        field = c[f, f] + c[f, f + 1 :] @ v[f + 1 :] + c[:f, f] @ v[:f]
+        return float((1.0 - 2.0 * v[f]) * field)
 
     # -- helpers -------------------------------------------------------------
 
@@ -131,9 +140,11 @@ class QuboMatrix:
             )
         return v
 
-    def _check_index(self, i: int) -> None:
-        if not (0 <= i < self.n_vars):
-            raise IndexError(f"variable index {i} out of range [0, {self.n_vars})")
+    def _check_index(self, i) -> int:
+        """``i`` as an int, once checked to be an integer in [0, n_vars)."""
+        if not (0 <= i < self.n_vars and i == int(i)):
+            raise IndexError(f"variable index {i} is not an integer in [0, {self.n_vars})")
+        return int(i)
 
     @property
     def upper(self) -> np.ndarray:
@@ -218,9 +229,9 @@ class SampleSet:
         """The sample with the lowest bits among those whose energies lie
         within ``ENERGY_EPS`` of the minimum; of equal bits, the first.
 
-        The tolerance makes the pick independent of the last bits of the
-        energy sums, which differ between evaluators.  An empty set has no
-        best sample: :class:`DimensionError`.
+        The tolerance is the package's tie rule, so the pick matches the
+        exact solver's.  An empty set has no best sample:
+        :class:`DimensionError`.
         """
         if not self.samples:
             raise DimensionError(f"{self.solver_name} sample set holds no samples")

@@ -23,11 +23,11 @@ between them are tabulated once, and each block of 2^16 states is then
 one small matrix product plus two broadcast adds.  One scan,
 :func:`_scan_optimum`, finds the optimum a block at a time.
 
-One energy per state: an exact optimum is reported at its
-:func:`state_energy`, one evaluation of that state alone, not at the
-sum that picked it.  The scan's sums and the DP's differ in the last
-bits, so two routes that pick the same state report the same energy
-only this way.
+One energy per state: every solver reports a state at
+``QuboMatrix.energies`` of it alone, never at the sum that picked it.
+The scan's, the DP's and tabu's sums differ in the last bits, so only
+this way do two routes that pick the same state, or two runs that block
+a read with different reads, report the same energy.
 
 Both samplers vectorize across reads without changing what a read does.
 Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
@@ -147,17 +147,6 @@ class SamplerParams:
         return self.tabu_tenure if self.tabu_tenure is not None else math.ceil(n_vars / 4)
 
 
-def _quadratic_forms(bits: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``x @ upper @ x`` for each row ``x`` of ``bits``."""
-    return ((bits @ upper) * bits).sum(axis=1)
-
-
-def state_energy(q: QuboMatrix, bits) -> float:
-    """The energy of one state, evaluated from scratch: the one formula
-    every exact route reports its optimum at."""
-    return float(_quadratic_forms(np.array([bits], dtype=float), q.upper)[0] + q.offset)
-
-
 def _bit_table(m: int) -> np.ndarray:
     """Bits of all 2^m states of m variables, row i state i, high bit first."""
     states = np.arange(1 << m, dtype=np.int64)[:, None]
@@ -187,8 +176,8 @@ def _energy_kernel(q: QuboMatrix) -> tuple[range, Callable[[int], np.ndarray]]:
     high = n - low
     upper = q.upper
     lo_bits, hi_bits = _bit_table(low), _bit_table(high)
-    e_lo = _quadratic_forms(lo_bits, upper[high:, high:]) + q.offset
-    e_hi = _quadratic_forms(hi_bits, upper[:high, :high])
+    e_lo = ((lo_bits @ upper[high:, high:]) * lo_bits).sum(axis=1) + q.offset
+    e_hi = ((hi_bits @ upper[:high, :high]) * hi_bits).sum(axis=1)
     cross = upper[:high, high:] @ lo_bits.T
     rows = max(1, _ENUM_CHUNK >> low)
 
@@ -220,12 +209,12 @@ def _scan_optimum(q: QuboMatrix) -> tuple[int, ...]:
 
 
 def ground_state(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
-    """Lowest-energy state by enumeration, at its :func:`state_energy`: of
+    """Lowest-energy state by enumeration, at ``q.energy`` of it: of
     the states within ``ENERGY_EPS`` of the minimum, the lowest index
     (lexicographic bits).  The scan holds one chunk of 2^16 energies
     (512 KiB) at a time."""
     bits = _scan_optimum(q)
-    return bits, state_energy(q, bits)
+    return bits, q.energy(bits)
 
 
 def solve_exact(q: QuboMatrix) -> SampleSet:
@@ -239,7 +228,7 @@ def solve_exact(q: QuboMatrix) -> SampleSet:
         q.check_energy_range()
         bits = loop_optimum(q, q.loop_shape)
     return SampleSet(
-        samples=[Sample(bits, state_energy(q, bits), 1)],
+        samples=[Sample(bits, q.energy(bits), 1)],
         timing={"wall_time_us": (time.perf_counter() - t0) * 1e6},
         solver_name=EXACT_SOLVER_NAME,
     )
@@ -256,9 +245,9 @@ def _sample_reads(
     from it, so reads are independent and the output depends neither on
     execution order nor on the blocks.  ``walk(reads, starts, rngs)`` maps
     a block's ``(reads, n)`` start rows to its final rows.  Each final
-    state is appended in read order at its energy evaluated from scratch,
-    free of the drift a walk's incremental updates accumulate.  The params
-    record is ``num_reads``, ``seed``, then ``params``.
+    state is appended in read order at ``q.energies`` of it, free of the
+    drift a walk's incremental updates accumulate and of the other reads.
+    The params record is ``num_reads``, ``seed``, then ``params``.
     """
     q.check_energy_range()
     samples: list[Sample] = []
@@ -267,7 +256,7 @@ def _sample_reads(
         rngs = [np.random.default_rng(p.seed ^ r) for r in reads]
         starts = np.array([rng.integers(0, 2, size=q.n_vars) for rng in rngs], dtype=float)
         final = walk(reads, starts, rngs)
-        energies = _quadratic_forms(final, q.upper) + q.offset
+        energies = q.energies(final)
         states = [tuple(row) for row in final.astype(np.int64).tolist()]
         samples.extend(map(Sample, states, energies.tolist(), reads))
     return SampleSet(
@@ -433,7 +422,7 @@ def _tabu_walks(
     move: the lowest variable whose candidate is within ``ENERGY_EPS`` of
     the row's lowest.  A move improves when it aspires, but a gain within
     ``drift``, ulps of S over a stall window, of ``ENERGY_EPS`` may be
-    rounding drift: it must also beat the best state from scratch.
+    rounding drift: it must also beat the best state in ``q.energies``.
 
     Each per-row value, the energy and the chosen move's index, sign and
     outcome, is a ``(rows, 1)`` column.  Each row's bar, best -
@@ -445,7 +434,7 @@ def _tabu_walks(
     """
     n = q.n_vars
     drift = max_stall * 2.0**-50 * q.check_energy_range()
-    energy = (_quadratic_forms(starts, q.upper) + q.offset)[:, None]
+    energy = q.energies(starts)[:, None]
     field = diag + (sym @ starts[:, :, None])[:, :, 0]
     sign = 1.0 - 2.0 * starts
     rows = np.arange(len(reads))
@@ -510,7 +499,7 @@ def _tabu_walks(
                 hit = improved[:, 0]
                 for row in np.flatnonzero(hit & (energy[:, 0] > bar[:, 0] - drift)):
                     pair = (np.stack([best_sign[row], sign[row]]) < 0).astype(float)
-                    best_energy, new_energy = _quadratic_forms(pair, q.upper)
+                    best_energy, new_energy = q.energies(pair)
                     hit[row] = new_energy < best_energy - ENERGY_EPS
                 bar[hit] = energy[hit] - ENERGY_EPS
                 best_sign[hit] = sign[hit]

@@ -15,6 +15,7 @@ from arbqubo import (
     best_cycle_bruteforce,
     build_qubo,
     default_weights,
+    dump_rates_json,
     ground_state,
     load_rates,
     solve_exact,
@@ -136,7 +137,7 @@ class TestSolve:
         for rec in records:
             assert len(rec["bits"]) == q.n_vars and not rec["bits"].strip("01")
             bits = [int(b) for b in rec["bits"]]
-            assert rec["energy"] == pytest.approx(q.energy(bits), rel=0, abs=qubo.ENERGY_EPS)
+            assert rec["energy"] == q.energy(bits)
         model = json.loads(model_file.read_text())
         assert (model["n_currencies"], model["loop_length"]) == (3, 4)
         assert model["weights"] == dataclasses.asdict(weights)
@@ -424,6 +425,14 @@ class TestOracleCommand:
         assert "1.39230" in out
         assert "arbitrage: yes" in out
         assert "negative-cycle screen (bellman-ford): yes" in out
+
+    @pytest.mark.parametrize("name", ["fig1.json", "fig1.JSON", "fig1.Json"])
+    def test_json_extension_in_any_case(self, tmp_path, capsys, fig1, name):
+        csv_out = main(["oracle", "--rates", write_fig1(tmp_path)]), capsys.readouterr()
+        path = tmp_path / name
+        path.write_bytes(dump_rates_json(fig1))
+        assert (main(["oracle", "--rates", str(path)]), capsys.readouterr()) == csv_out
+        assert csv_out[0] == 0
 
     def test_consistent_market(self, tmp_path, capsys):
         rates = tmp_path / "flat.csv"

@@ -44,7 +44,6 @@ from arbqubo import cli, model, solvers
 from arbqubo.cli import main
 from arbqubo.model import loop_tables, weights_dominate
 from arbqubo.qubo import ENERGY_EPS
-from arbqubo.solvers import state_energy
 
 SHAPES = [(n, k) for n in range(2, 12) for k in range(2, n + 2) if n * k <= 22]
 MARKETS = ["planted", "noisy", "consistent"]
@@ -111,7 +110,6 @@ def test_loop_tables_price_random_closed_walks(n, k, kind):
             )
             bits = encode_loop(walk, shape)
             assert abs(energy - q.energy(bits)) <= ENERGY_EPS
-            assert abs(energy - state_energy(q, bits)) <= ENERGY_EPS
 
 
 def test_one_start_per_block_gives_the_same_optimum(monkeypatch):

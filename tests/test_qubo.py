@@ -83,6 +83,16 @@ class TestAddCoefficient:
         with pytest.raises(IndexError):
             self.add(q, 0, 3, 1.0)
 
+    @pytest.mark.parametrize(
+        "i, j, bad",
+        [(1.5, 2, "1.5"), (2, 0.5, "0.5"), (np.float64(1.5), 0, "1.5"), (np.nan, 1, "nan")],
+    )
+    def test_non_integer_index_rejected(self, i, j, bad):
+        q = QuboMatrix(3)
+        with pytest.raises(IndexError, match=f"variable index {bad} is not an integer"):
+            self.add(q, i, j, 1.0)
+        assert not q.upper.any()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, value):
         q = QuboMatrix(3)
@@ -187,6 +197,22 @@ class TestEnergy:
         assert int(np.argmin(after)) == argmin_before
 
 
+class TestEnergies:
+    def test_each_row_as_if_alone(self):
+        rng = np.random.default_rng(8)
+        for n in (3, 8, 17, 40):
+            q = random_qubo(rng, n=n)
+            states = rng.integers(0, 2, size=(50, n))
+            energies = q.energies(states)
+            assert energies.tolist() == [q.energy(x) for x in states]
+            assert energies.tolist() == [q.energies(states[r : r + 1])[0] for r in range(50)]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 2), (1, 3, 1)])
+    def test_wrong_shape(self, shape):
+        with pytest.raises(DimensionError):
+            QuboMatrix(3).energies(np.zeros(shape))
+
+
 class TestEnergyDelta:
     def test_from_zero_state_is_linear_term(self):
         q = QuboMatrix(4)
@@ -220,6 +246,13 @@ class TestEnergyDelta:
         q = QuboMatrix(3)
         with pytest.raises(IndexError):
             q.energy_delta([0, 0, 0], 3)
+
+    def test_non_integer_index_rejected(self):
+        q = QuboMatrix(3)
+        with pytest.raises(IndexError, match="variable index 1.5 is not an integer"):
+            q.energy_delta([0, 0, 0], 1.5)
+        with pytest.raises(IndexError, match="variable index 1.5 is not an integer"):
+            q.coefficient(1.5, 2)
 
 
 class TestJsonInterchange:

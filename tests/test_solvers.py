@@ -8,6 +8,7 @@ instances.  Golden values pin their exact output, and both samplers are
 checked against plain one-read-at-a-time references.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -505,7 +506,7 @@ class TestSimulatedAnnealing:
         q = planted_qubo(n=4, k=4)
         result = sample_sa(q, SamplerParams(num_reads=20, seed=3, sweeps_per_read=50))
         for s in result.samples:
-            assert s.energy == pytest.approx(q.energy(s.bits), abs=ETOL)
+            assert s.energy == q.energy(s.bits)
 
     def test_reaches_exact_optimum_on_planted_instance(self):
         q = planted_qubo(n=3, k=4, seed=7)
@@ -574,7 +575,7 @@ class TestTabu:
         q = planted_qubo(n=4, k=4)
         result = sample_tabu(q, SamplerParams(num_reads=10, seed=6))
         for s in result.samples:
-            assert s.energy == pytest.approx(q.energy(s.bits), abs=ETOL)
+            assert s.energy == q.energy(s.bits)
 
     def test_first_read_reaches_optimum_on_most_seeds(self):
         q = planted_qubo()
@@ -599,6 +600,45 @@ class TestTabu:
         q = planted_qubo(n=3, k=3)
         result = sample_tabu(q, SamplerParams(num_reads=7, seed=0))
         assert [s.read_index for s in result.samples] == list(range(1, 8))
+
+
+class TestOneEnergyPerState:
+    """A read's energy is ``q.energy`` of its bits, whatever reads are
+    computed with it."""
+
+    # Each sampler, its block budget and what a read of 50 sweeps costs in
+    # it per variable.
+    SAMPLERS = {
+        "sa": (sample_sa, "_SA_BLOCK_ELEMENTS", 50),
+        "tabu": (sample_tabu, "_TABU_BLOCK_ELEMENTS", 1),
+    }
+
+    @pytest.mark.parametrize("solver", ["sa", "tabu"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: planted_qubo(4, 4, seed=4), lambda: planted_qubo(5, 3, seed=2), dense_qubo],
+        ids=["loop-4x4-seed4", "loop-5x3", "dense"],
+    )
+    def test_reads_do_not_depend_on_the_reads_beside_them(self, monkeypatch, solver, make):
+        q = make()
+        sample, budget, cost = self.SAMPLERS[solver]
+        params = SamplerParams(num_reads=8, seed=1, sweeps_per_read=50)
+        whole = sample(q, params).samples
+        for num_reads in range(1, 8):
+            alone = sample(q, dataclasses.replace(params, num_reads=num_reads)).samples
+            assert alone == whole[:num_reads]
+        for block_reads in (1, 3):
+            monkeypatch.setattr(solvers, budget, block_reads * cost * q.n_vars)
+            assert sample(q, params).samples == whole
+
+    def test_every_sample_is_at_its_states_energy(self):
+        params = SamplerParams(num_reads=10, seed=1, sweeps_per_read=50)
+        for n, k in [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (4, 5), (5, 4), (6, 3)]:
+            for seed in (1, 2, 3, 4):
+                q = planted_qubo(n, k, seed=seed)
+                for result in (sample_sa(q, params), sample_tabu(q, params), solve_exact(q)):
+                    for s in result.samples:
+                        assert s.energy == q.energy(s.bits), (n, k, seed, result.solver_name)
 
 
 # Output of the sequential one-read-at-a-time samplers on three QUBOs:
@@ -969,7 +1009,7 @@ def sequential_tabu(q: QuboMatrix, p: SamplerParams) -> tuple[list, list, int]:
 def beats_from_scratch(q: QuboMatrix, x: np.ndarray, best_x: np.ndarray) -> bool:
     """Whether state ``x`` beats ``best_x`` by ``ENERGY_EPS``, in energies
     taken from scratch as ``sample_tabu`` takes them."""
-    best, new = solvers._quadratic_forms(np.stack([best_x, x]), q.upper)
+    best, new = q.energies(np.stack([best_x, x]))
     return new < best - solvers.ENERGY_EPS
 
 
