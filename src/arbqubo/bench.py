@@ -14,11 +14,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Callable
 
 from .errors import DimensionError, ModelError, ParamError, WrongOrdering
 from .qubo import ENERGY_EPS, QuboMatrix, SampleSet
+from .rates import csv_bytes
 from .solvers import (
     EXACT_SOLVER_NAME,
     SA_SOLVER_NAME,
@@ -136,15 +137,8 @@ def _finite_float(text: str) -> float:
 _CSV_PARSERS = {"str": str, "int": int, "float": _finite_float, "int | None": _optional_int}
 
 
-def _schema(row_type) -> list[tuple[str, Callable]]:
-    """(column, parser) per field of the dataclass ``row_type``, in order."""
-    return [(f.name, _CSV_PARSERS[f.type]) for f in fields(row_type)]
-
-
 #: Report columns are the BenchRow fields, in order.
-_REPORT_SCHEMA = _schema(BenchRow)
-
-REPORT_COLUMNS = [name for name, _ in _REPORT_SCHEMA]
+REPORT_COLUMNS = [f.name for f in fields(BenchRow)]
 
 
 @dataclass
@@ -237,27 +231,29 @@ def _csv_cell(value) -> object:
     return _format_number(value) if isinstance(value, float) else value
 
 
-def _read_csv(data: bytes, schema: list[tuple[str, Callable]], what: str) -> list[dict]:
-    """The rows of a UTF-8 CSV whose header is the ``schema`` columns, each
-    cell read by its column's parser; blank rows are skipped.  Bad UTF-8 or
-    quoting, any other header, a row of another length or a cell its
-    parser rejects is a :class:`DimensionError`; a number that is not
-    finite, a :class:`ModelError`."""
+def _read_csv(data: bytes, row_type, what: str) -> list:
+    """The rows of a UTF-8 CSV whose header is the fields of the dataclass
+    ``row_type``, as ``row_type`` instances, each cell read by the parser of
+    its field's type; blank rows are skipped.  Bad UTF-8 or quoting, any
+    other header, a row of another length or a cell its parser rejects is
+    a :class:`DimensionError`; a number that is not finite, a
+    :class:`ModelError`."""
     try:
         header, *records = list(csv.reader(io.StringIO(data.decode("utf-8")))) or [None]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DimensionError(f"malformed {what}: {exc}") from None
-    columns = [name for name, _ in schema]
+    columns = [f.name for f in fields(row_type)]
     if header != columns:
         raise DimensionError(f"expected {what} header {columns}, got {header}")
+    parsers = [_CSV_PARSERS[f.type] for f in fields(row_type)]
     rows = []
     for number, rec in enumerate(records, start=2):
         if not rec:
             continue
-        if len(rec) != len(schema):
-            raise DimensionError(f"{what} row {number} has {len(rec)} cells, not {len(schema)}")
+        if len(rec) != len(parsers):
+            raise DimensionError(f"{what} row {number} has {len(rec)} cells, not {len(parsers)}")
         try:
-            rows.append({name: parse(cell) for (name, parse), cell in zip(schema, rec)})
+            rows.append(row_type(*[parse(cell) for parse, cell in zip(parsers, rec)]))
         except ValueError as exc:
             raise DimensionError(f"{what} row {number}: {exc}") from None
         except ModelError as exc:
@@ -268,13 +264,7 @@ def _read_csv(data: bytes, schema: list[tuple[str, Callable]], what: str) -> lis
 def emit_report(r: BenchReport, fmt: str = "csv") -> bytes:
     """Serialize a report with a stable column order."""
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(
-            [_csv_cell(getattr(row, name)) for name in REPORT_COLUMNS] for row in r.rows
-        )
-        return out.getvalue().encode("utf-8")
+        return csv_bytes(REPORT_COLUMNS, ([_csv_cell(v) for v in astuple(row)] for row in r.rows))
     if fmt == "json":
         obj = [asdict(row) for row in r.rows]
         return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
@@ -283,8 +273,7 @@ def emit_report(r: BenchReport, fmt: str = "csv") -> bytes:
 
 def load_report(data: bytes) -> BenchReport:
     """Read :func:`emit_report`'s CSV bytes back; a malformed report is a typed error."""
-    rows = _read_csv(data, _REPORT_SCHEMA, "report")
-    return BenchReport(rows=[BenchRow(**row) for row in rows])
+    return BenchReport(rows=_read_csv(data, BenchRow, "report"))
 
 
 # -- external timing logs -------------------------------------------------------
@@ -300,8 +289,7 @@ class TimingLogRow:
 
 def load_timing_log(data: bytes) -> list[TimingLogRow]:
     """Parse an external access-time log: system, num_reads, batch, time."""
-    schema = _schema(TimingLogRow)
-    return [TimingLogRow(**row) for row in _read_csv(data, schema, "timing log")]
+    return _read_csv(data, TimingLogRow, "timing log")
 
 
 def timing_log_means(rows: list[TimingLogRow]) -> list[tuple[str, int, int, float]]:
@@ -315,9 +303,7 @@ def timing_log_means(rows: list[TimingLogRow]) -> list[tuple[str, int, int, floa
 
 def emit_timing_means(rows: list[TimingLogRow]) -> bytes:
     """Re-emit per-group mean access times; integral means print as integers."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["system", "num_reads", "batch", "mean_qpu_access_time_us"])
-    for system, num_reads, batch, mean in timing_log_means(rows):
-        writer.writerow([system, num_reads, batch, _format_number(mean)])
-    return out.getvalue().encode("utf-8")
+    return csv_bytes(
+        ["system", "num_reads", "batch", "mean_qpu_access_time_us"],
+        ([*key, _format_number(mean)] for *key, mean in timing_log_means(rows)),
+    )

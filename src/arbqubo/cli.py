@@ -86,6 +86,11 @@ def _read_rates(path: str):
         return load_rates(fh, fmt)
 
 
+def _write(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def _problem(args):
     """The rate table, problem shape and log weights that ``args`` name."""
     rates = _read_rates(args.rates)
@@ -172,9 +177,7 @@ def cmd_gen(args) -> int:
     rates = generate_consistent(args.n, args.seed)
     if args.plant is not None:
         rates = plant_cycle(rates, args.plant, args.strength)
-    payload = dump_rates_csv(rates)
-    with open(args.out, "wb") as fh:
-        fh.write(payload)
+    _write(args.out, dump_rates_csv(rates))
     print(f"wrote {args.out}: {rates.n} currencies")
     return EXIT_OK
 
@@ -202,14 +205,11 @@ def cmd_solve(args) -> int:
         result = SOLVER_REGISTRY[args.solver](q, params)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(sampleset_to_json(result))
+        _write(args.out, sampleset_to_json(result).encode("utf-8"))
     if args.model_out:
-        with open(args.model_out, "w", encoding="utf-8") as fh:
-            fh.write(model_to_json(shape, weights, rates.labels))
+        _write(args.model_out, model_to_json(shape, weights, rates.labels).encode("utf-8"))
     if args.qubo_out:
-        with open(args.qubo_out, "w", encoding="utf-8") as fh:
-            fh.write(qubo_to_json(q))
+        _write(args.qubo_out, qubo_to_json(q).encode("utf-8"))
 
     best = result.best()
     decoded = decode(best.bits, shape)
@@ -249,8 +249,7 @@ def cmd_bench(args) -> int:
             report = run_batches(solver, q, params, args.batches, optimal_energy)
             combined.rows.extend(report.rows)
 
-    with open(args.out, "wb") as fh:
-        fh.write(emit_report(combined, args.format))
+    _write(args.out, emit_report(combined, args.format))
     print(f"wrote {args.out}: {len(combined.rows)} rows")
     for agg in combined.aggregate():
         mean_first = agg["mean_first_optimum_read"]

@@ -110,8 +110,9 @@ class QuboMatrix:
     def energies(self, states) -> np.ndarray:
         """The energy of each row of ``states``: each row takes the same
         (1, n) product, a stacked matmul, so no row's value depends on the
-        rows evaluated with it."""
-        x = np.asarray(states, dtype=float)
+        rows evaluated with it.  An entry other than 0 or 1 is a
+        :class:`DimensionError`, as is a row of another width."""
+        x = _binary(states)
         if x.ndim != 2 or x.shape[1] != self.n_vars:
             raise DimensionError(f"states have shape {x.shape}, expected (rows, {self.n_vars})")
         return ((x[:, None, :] @ self._coeff)[:, 0, :] * x).sum(axis=1) + self.offset
@@ -133,7 +134,7 @@ class QuboMatrix:
     # -- helpers -------------------------------------------------------------
 
     def _as_vector(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=float)
+        v = _binary(x)
         if v.shape != (self.n_vars,):
             raise DimensionError(
                 f"state has length {v.shape}, expected ({self.n_vars},)"
@@ -189,6 +190,16 @@ class QuboMatrix:
     def __repr__(self) -> str:
         nnz = int(np.count_nonzero(self._coeff))
         return f"QuboMatrix(n_vars={self.n_vars}, nonzero={nnz}, offset={self.offset})"
+
+
+def _binary(states) -> np.ndarray:
+    """``states`` as floats, once checked to hold only 0s and 1s (bools
+    pass): any other entry is a :class:`DimensionError`."""
+    x = np.asarray(states, dtype=float)
+    off = (x != 0) & (x != 1)
+    if off.any():
+        raise DimensionError(f"state entries must be 0 or 1, got {x[off][0]}")
+    return x
 
 
 @dataclass(frozen=True)

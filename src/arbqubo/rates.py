@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def _rates_from_csv(text: str) -> RateMatrix:
         raise IncompleteMatrix(f"expected header {','.join(CSV_HEADER)!r}, got {header}")
 
     index: dict[str, int] = {}  # label -> position, in first-appearance order
-    entries: dict[tuple[str, str], float] = {}
+    entries: dict[tuple[int, int], float] = {}
     for row in reader:
         cells = [c.strip() for c in row]
         if not any(cells):
@@ -217,26 +217,24 @@ def _rates_from_csv(text: str) -> RateMatrix:
             raise InvalidRate(f"rate for {src}->{dst} is not a number: {raw!r}") from None
         if not math.isfinite(value) or value <= 0:
             raise InvalidRate(f"rate for {src}->{dst} must be positive, got {value}")
-        index.setdefault(src, len(index))
-        index.setdefault(dst, len(index))
-        if (src, dst) in entries:
+        pair = (index.setdefault(src, len(index)), index.setdefault(dst, len(index)))
+        if pair in entries:
             raise DuplicateEntry(f"pair {src}->{dst} listed twice")
         if src == dst and value != 1.0:
             raise InvalidRate(f"self-rate for {src} must be 1, got {value}")
-        entries[(src, dst)] = value
+        entries[pair] = value
 
     labels = list(index)
     n = len(labels)
     if n < 2:
         raise IncompleteMatrix(f"need at least 2 currencies, found {n}")
-    rate = np.ones((n, n))
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            if i == j:
-                continue
-            if (a, b) not in entries:
-                raise IncompleteMatrix(f"missing pair {a}->{b}")
-            rate[i, j] = entries[(a, b)]
+    rate = np.full((n, n), np.nan)
+    np.fill_diagonal(rate, 1.0)
+    rate[tuple(np.array(list(entries)).T)] = list(entries.values())
+    missing = np.argwhere(np.isnan(rate))  # row-major: the first is the one named
+    if missing.size:
+        i, j = missing[0]
+        raise IncompleteMatrix(f"missing pair {labels[i]}->{labels[j]}")
     return RateMatrix(labels=tuple(labels), rate=rate)
 
 
@@ -267,17 +265,21 @@ def _rates_from_json(text: str) -> RateMatrix:
     return RateMatrix(labels=tuple(labels), rate=rate)
 
 
-def dump_rates_csv(rates: RateMatrix) -> bytes:
-    """Serialize to the canonical CSV form (deterministic byte output)."""
+def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
+    """The package's one CSV form: UTF-8, the ``header`` row first, then
+    ``rows``, every line ended by ``\\n``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for i, a in enumerate(rates.labels):
-        for j, b in enumerate(rates.labels):
-            if i == j:
-                continue
-            writer.writerow([a, b, repr(float(rates.rate[i, j]))])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue().encode("utf-8")
+
+
+def dump_rates_csv(rates: RateMatrix) -> bytes:
+    """Serialize to the canonical CSV form (deterministic byte output)."""
+    labels, rate = rates.labels, rates.rate.tolist()
+    pairs = ((i, j) for i in range(rates.n) for j in range(rates.n) if i != j)
+    return csv_bytes(CSV_HEADER, ([labels[i], labels[j], repr(rate[i][j])] for i, j in pairs))
 
 
 def dump_rates_json(rates: RateMatrix) -> bytes:

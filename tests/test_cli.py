@@ -460,6 +460,20 @@ class TestOracleCommand:
         assert "negative-cycle screen (bellman-ford): yes" in out
 
 
+def test_solve_at_k5_reports_a_closed_walk_not_a_cycle(tmp_path, capsys):
+    # At K >= 5 solve's best loop is a closed walk of K-1 trades: here the
+    # 1.05 two-cycle twice, where the cycle oracle reports it once.
+    rates = str(tmp_path / "m5.csv")
+    assert main(["gen", "--n", "5", "--seed", "7", "--plant", "0,1", "--out", rates]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--rates", rates, "--loop-length", "5"]) == 0
+    solve_lines = capsys.readouterr().out.splitlines()
+    assert solve_lines[2:] == ["best loop: C0 -> C1 -> C0 -> C1 -> C0", "profitability: 1.10250"]
+    assert main(["oracle", "--rates", rates, "--max-len", "5"]) == 0
+    oracle_lines = capsys.readouterr().out.splitlines()
+    assert oracle_lines[:2] == ["best cycle: C0 -> C1 -> C0", "profitability: 1.05000"]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "name,payload,max_len,message",

@@ -213,6 +213,38 @@ class TestEnergies:
             QuboMatrix(3).energies(np.zeros(shape))
 
 
+class TestBinaryStates:
+    """A state entry other than 0 or 1 has no energy under the QUBO."""
+
+    @staticmethod
+    def qubo():
+        q = QuboMatrix(2)
+        q.add_coefficient(0, 0, 5.0)
+        q.add_coefficient(0, 1, 1.0)
+        return q
+
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            (lambda q: q.energy([2, 0]), "2.0"),
+            (lambda q: q.energy([0.5, -1]), "0.5"),
+            (lambda q: q.energies([[3, 3]]), "3.0"),
+            (lambda q: q.energies([[0, 1], [1, float("nan")]]), "nan"),
+            (lambda q: q.energy_delta([2, 0], 1), "2.0"),
+        ],
+        ids=["energy-2", "energy-half", "energies-3", "energies-nan", "delta-2"],
+    )
+    def test_non_binary_entry_rejected(self, call, bad):
+        with pytest.raises(DimensionError, match=f"entries must be 0 or 1, got {bad}$"):
+            call(self.qubo())
+
+    def test_bools_are_bits(self):
+        q = self.qubo()
+        assert q.energy([True, False]) == q.energy([1, 0]) == 5.0
+        assert q.energies([[True, True], [False, True]]).tolist() == [6.0, 0.0]
+        assert q.energy_delta([True, False], 1) == q.energy_delta([1, 0], 1) == 1.0
+
+
 class TestEnergyDelta:
     def test_from_zero_state_is_linear_term(self):
         q = QuboMatrix(4)

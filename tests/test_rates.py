@@ -79,6 +79,17 @@ class TestLoadRates:
         with pytest.raises(IncompleteMatrix):
             load_rates(text, "csv")
 
+    def test_first_missing_pair_in_row_major_label_order(self):
+        # B->A and C->B are both missing; B->A comes first in label order.
+        text = b"from,to,rate\nA,B,1.1\nB,C,1.2\nC,A,0.9\nA,C,1.3\n"
+        with pytest.raises(IncompleteMatrix, match="^missing pair B->A$"):
+            load_rates(text, "csv")
+
+    def test_csv_bytes_round_trip_at_n_200(self):
+        # The market `gen --n 200 --seed 3 --plant 0,1,2` writes.
+        data = dump_rates_csv(plant_cycle(generate_consistent(200, 3), (0, 1, 2), 1.05))
+        assert dump_rates_csv(load_rates(data, "csv")) == data
+
     def test_negative_rate_rejected_json(self):
         payload = b'{"labels": ["USD", "EUR"], "rates": [[1, -1], [1.2, 1]]}'
         with pytest.raises(InvalidRate):
