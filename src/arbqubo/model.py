@@ -35,7 +35,7 @@ from dataclasses import asdict, astuple, dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ModelError, NotFeasible, TooLarge
-from .qubo import ENERGY_EPS, QuboMatrix
+from .qubo import ENERGY_EPS, QuboMatrix, _binary
 from .rates import LogWeightMatrix, RateMatrix, cycle_product
 
 MULTIPLE_IN_POSITION = "MultipleInPosition"
@@ -245,9 +245,12 @@ def decode(x, shape: ProblemShape) -> DecodedLoop:
 
     Violations recorded: more than one currency in a position, an empty
     position, and (only when both endpoints hold a single currency) a loop
-    that does not close.
+    that does not close.  A state that is not a vector of ``n_vars`` 0s
+    and 1s (bools pass) is a :class:`DimensionError`.
     """
-    bits = list(map(int, x))
+    bits = _binary(x)
+    if bits.ndim != 1:
+        raise DimensionError(f"state must be a vector, got shape {bits.shape}")
     if len(bits) != shape.n_vars:
         raise DimensionError(f"state length {len(bits)} != {shape.n_vars}")
     grid = _grid(bits, shape) != 0

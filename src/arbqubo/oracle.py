@@ -48,26 +48,21 @@ def best_cycle_bruteforce(rates: RateMatrix, max_len: int) -> OracleResult:
     if max_len < 2:
         raise ParamError(f"max_len must be at least 2, got {max_len}")
 
-    best_cycle: tuple[int, ...] | None = None
-    best_profit = -1.0
-    # Loops come shortest first, then in lexicographic order, so that order
-    # is the tie rule: a tied later loop never replaces the one found first.
-    for positions in range(2, max_len + 1):
-        body_len = positions - 1
-        for body in permutations(range(n), body_len):
+    rate = rates.rate.tolist()
+    # The first loop in order, [0, 0], prices at exactly 1 (self-rates are
+    # fixed at 1), as does every other length-2 loop.  Loops come shortest
+    # first, then in lexicographic order, so that order is the tie rule: a
+    # tied later loop never replaces the one found first.
+    best_cycle, best_profit = (0, 0), 1.0
+    for positions in range(3, max_len + 1):
+        for body in permutations(range(n), positions - 1):
             loop = body + (body[0],)
             profit = 1.0
             for a, b in zip(loop, loop[1:]):
-                profit *= rates.rate[a, b]
-            tol = PROFIT_EPS * max(1.0, abs(best_profit))
-            if best_cycle is None or profit > best_profit + tol:
+                profit *= rate[a][b]
+            if profit > best_profit + PROFIT_EPS * max(1.0, abs(best_profit)):
                 best_cycle, best_profit = loop, profit
-    assert best_cycle is not None
-    return OracleResult(
-        best_cycle=tuple(int(c) for c in best_cycle),
-        best_profit=float(best_profit),
-        has_arbitrage=bool(best_profit > 1.0 + PROFIT_EPS),
-    )
+    return OracleResult(best_cycle, best_profit, best_profit > 1.0 + PROFIT_EPS)
 
 
 def has_arbitrage_bellman_ford(w: LogWeightMatrix) -> bool:
@@ -75,25 +70,20 @@ def has_arbitrage_bellman_ford(w: LogWeightMatrix) -> bool:
 
     Standard Bellman-Ford with a virtual source connected to every vertex:
     |V| relaxation rounds, then one extra round -- any further improvement
-    means a negative cycle is reachable.
+    means a negative cycle is reachable.  A round that changes nothing
+    answers no at once.
     """
-    n = w.n
+    n, weight = w.n, w.w.tolist()
     dist = [0.0] * n  # virtual source already relaxed once into every node
-    for _ in range(n):
+    for _ in range(n + 1):
         changed = False
-        for u in range(n):
+        for u, row in enumerate(weight):
             du = dist[u]
             for v in range(n):
-                if u == v:
-                    continue
-                cand = du + w.w[u, v]
-                if cand < dist[v] - PROFIT_EPS:
+                cand = du + row[v]
+                if u != v and cand < dist[v] - PROFIT_EPS:
                     dist[v] = cand
                     changed = True
         if not changed:
             return False
-    for u in range(n):
-        for v in range(n):
-            if u != v and dist[u] + w.w[u, v] < dist[v] - PROFIT_EPS:
-                return True
-    return False
+    return True

@@ -25,6 +25,7 @@ from .errors import (
     InvalidRate,
     InvalidSize,
     InvalidStrength,
+    ParamError,
     TooLarge,
 )
 from .qubo import QUBO_MAX_VARS
@@ -113,7 +114,7 @@ def generate_consistent(n: int, seed: int) -> RateMatrix:
     Deterministic for a fixed seed.  Every loop has at least 2
     positions, so past ``QUBO_MAX_VARS // 2`` currencies no QUBO can be
     built from the market: :class:`TooLarge`, before the n^2 rates are
-    allocated.
+    allocated.  A negative seed is a :class:`ParamError`.
     """
     if n < 2:
         raise InvalidSize(f"need n >= 2, got {n}")
@@ -122,6 +123,8 @@ def generate_consistent(n: int, seed: int) -> RateMatrix:
             f"{n} currencies exceeds {QUBO_MAX_VARS // 2}, past which even loop length 2 "
             f"exceeds the dense QUBO guard {QUBO_MAX_VARS}"
         )
+    if seed < 0:
+        raise ParamError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     potentials = np.exp(rng.uniform(-1.0, 1.0, size=n))
     rate = potentials[:, None] / potentials[None, :]

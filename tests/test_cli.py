@@ -69,6 +69,14 @@ class TestGen:
     def test_unwritable_path_is_io_error(self):
         assert main(["gen", "--n", "3", "--out", "/nonexistent/dir/x.csv"]) == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--n", "4", "--seed", "-1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSolve:
     def test_fig1_exact(self, tmp_path, capsys):

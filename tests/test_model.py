@@ -194,6 +194,25 @@ class TestEncodeDecode:
         with pytest.raises(DimensionError):
             decode((0, 1), ProblemShape(3, 4))
 
+    @pytest.mark.parametrize("scale", [2, -1, 0.7, math.nan])
+    def test_decode_rejects_entries_other_than_0_or_1(self, scale):
+        # A scaled loop must not decode as the loop, nor as empty positions.
+        shape = ProblemShape(4, 4)
+        state = np.array(encode_loop([0, 1, 2, 0], shape), dtype=float) * scale
+        with pytest.raises(DimensionError, match="state entries must be 0 or 1"):
+            decode(state, shape)
+
+    def test_decode_takes_bools_and_checks_shape(self):
+        shape = ProblemShape(4, 4)
+        bits = np.array(encode_loop([0, 1, 2, 0], shape), dtype=bool)
+        assert decode(bits, shape).loop == [0, 1, 2, 0]
+        with pytest.raises(DimensionError, match="state length 15 != 16"):
+            decode(bits[:-1], shape)
+        with pytest.raises(DimensionError, match="vector"):
+            decode(np.bool_(True), shape)
+        with pytest.raises(DimensionError, match="vector"):
+            decode(bits[:, None], shape)
+
     def test_infeasible_loop_has_no_loop(self):
         with pytest.raises(NotFeasible):
             decode((0,) * 12, ProblemShape(3, 4)).loop

@@ -21,6 +21,7 @@ from arbqubo import (
     InvalidSize,
     InvalidStrength,
     LogWeightMatrix,
+    ParamError,
     TooLarge,
     RateMatrix,
     cycle_product,
@@ -159,6 +160,10 @@ class TestGenerateConsistent:
         # guard; 10^7 currencies would need 800 TB of rates.
         with pytest.raises(TooLarge, match="exceeds 2048"):
             generate_consistent(n, seed=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ParamError, match="seed must be non-negative, got -1"):
+            generate_consistent(4, seed=-1)
 
 
 class TestPlantCycle:
