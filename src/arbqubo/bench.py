@@ -171,7 +171,7 @@ class BenchReport:
 
 
 def run_batches(
-    solver: str | Callable[[QuboMatrix, SamplerParams], SampleSet],
+    solver: str,
     q: QuboMatrix,
     params: SamplerParams,
     batches: int,
@@ -184,12 +184,9 @@ def run_batches(
     ``build_qubo`` tagged with its loop shape.  Batch ``b``
     reseeds the sampler with ``params.seed + b`` so batches differ but the
     whole report stays reproducible.  ``solver`` is a name in
-    :data:`SOLVER_REGISTRY`, whose rows carry the sampler's own solver
-    name, or any callable with the sampler signature, whose rows carry
-    its ``__name__``.
+    :data:`SOLVER_REGISTRY`; rows carry the sampler's own solver name.
     """
-    solver_fn = lookup_solver(solver) if isinstance(solver, str) else solver
-    label = None if isinstance(solver, str) else getattr(solver, "__name__", "custom")
+    solver_fn = lookup_solver(solver)
     if batches < 1:
         raise ParamError(f"batches must be >= 1, got {batches}")
 
@@ -202,10 +199,10 @@ def run_batches(
         best = result.best()
         report.rows.append(
             BenchRow(
-                solver=label or result.solver_name,
+                solver=result.solver_name,
                 num_reads=params.num_reads,
                 batch=batch,
-                total_time_us=float(result.timing.get("wall_time_us", 0.0)),
+                total_time_us=result.timing["wall_time_us"],
                 first_optimum_read=first_optimum_read(result, optimal_energy),
                 best_energy=best.energy,
                 optimal_energy=optimal_energy,

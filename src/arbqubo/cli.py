@@ -192,6 +192,7 @@ def _resolve_weights(args, w, shape) -> HamiltonianWeights:
 
 
 def cmd_solve(args) -> int:
+    params = SamplerParams(num_reads=args.reads, seed=args.seed, sweeps_per_read=args.sweeps)
     rates, shape, w = _problem(args)
     weights = _resolve_weights(args, w, shape)
     q = build_qubo(w, shape, weights)
@@ -199,9 +200,6 @@ def cmd_solve(args) -> int:
     if args.solver == EXACT_SOLVER_NAME:
         result = solve_exact(q)
     else:
-        params = SamplerParams(
-            num_reads=args.reads, seed=args.seed, sweeps_per_read=args.sweeps
-        )
         result = SOLVER_REGISTRY[args.solver](q, params)
 
     if args.out:
@@ -233,20 +231,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    params = SamplerParams(seed=args.seed, sweeps_per_read=args.sweeps)
+    solvers = [token.strip() for token in args.solvers.split(",")]
+    for solver in solvers:  # reject unknown names before the market is read
+        lookup_solver(solver)
     _, shape, w = _problem(args)
     q = build_qubo(w, shape, default_weights(w, shape))
-    solvers = [token.strip() for token in args.solvers.split(",")]
-    for solver in solvers:  # reject unknown names before any batch runs
-        lookup_solver(solver)
 
     optimal_energy = solve_exact(q).best().energy
     combined = BenchReport()
     for solver in solvers:
         for reads in args.reads:
-            params = SamplerParams(
-                num_reads=reads, seed=args.seed, sweeps_per_read=args.sweeps
+            report = run_batches(
+                solver, q, replace(params, num_reads=reads), args.batches, optimal_energy
             )
-            report = run_batches(solver, q, params, args.batches, optimal_energy)
             combined.rows.extend(report.rows)
 
     _write(args.out, emit_report(combined, args.format))

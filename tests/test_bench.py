@@ -43,6 +43,7 @@ from arbqubo import (
     solve_exact,
     to_log_weights,
 )
+from arbqubo import bench
 
 # (num_reads, programming_us, readout_per_sample_us, reported_access_us)
 ACCESS_TIME_TABLE = [
@@ -196,14 +197,15 @@ class TestFirstOptimumRead:
 
 
 class TestRunBatches:
-    def test_deterministic_stub_gives_identical_rows(self):
+    def test_deterministic_stub_gives_identical_rows(self, monkeypatch):
         q = planted_qubo(n=3, k=3)
         _, optimum = ground_state(q)
 
         def stub(qm, params):
             return production_set([optimum + 1.0, optimum], solver="stub")
 
-        report = run_batches(stub, q, SamplerParams(num_reads=2, seed=0), batches=2)
+        monkeypatch.setitem(bench.SOLVER_REGISTRY, "stub", stub)
+        report = run_batches("stub", q, SamplerParams(num_reads=2, seed=0), batches=2)
         assert len(report.rows) == 2
         a, b = report.rows
         assert (a.total_time_us, a.first_optimum_read, a.best_energy) == (

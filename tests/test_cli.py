@@ -356,6 +356,52 @@ class TestReadCounts:
         assert capsys.readouterr().out == ""
 
 
+SEED_ERROR = "error: seed must be non-negative, got -1\n"
+
+
+class TestSamplerFlagsFirst:
+    """``solve`` and ``bench`` check ``--seed``, ``--reads``, ``--sweeps``
+    and ``--solvers`` for every solver before they read ``--rates``: exit 1
+    with the one parameter error line, nothing on stdout and no file."""
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--seed", "-1"], SEED_ERROR),
+            (["--reads", "0"], "error: num_reads must be >= 1, got 0\n"),
+            (["--sweeps", "0"], "error: sweeps_per_read must be >= 1, got 0\n"),
+        ],
+        ids=["seed", "reads", "sweeps"],
+    )
+    def test_exact_solve_rejects(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "s.json"
+        argv = ["solve", "--rates", write_market(tmp_path), "--out", str(out), *flag]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--seed", "-1"], SEED_ERROR),
+            (["solve", "--solver", "tabu", "--seed", "-1"], SEED_ERROR),
+            (["bench", "--seed", "-1"], SEED_ERROR),
+            (["bench", "--solvers", "hillclimb"], "error: unknown solver 'hillclimb'; "),
+        ],
+        ids=["solve-exact", "solve-tabu", "bench-seed", "bench-solvers"],
+    )
+    def test_checked_before_the_rates_are_read(self, tmp_path, capsys, argv, message):
+        # The rates file does not exist: reading it first would exit 2.
+        out = tmp_path / "r.csv"
+        rates = ["--rates", str(tmp_path / "no-such-market.csv"), "--out", str(out)]
+        assert main(argv + rates) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert not out.exists()
+
+
 class TestTiming:
     def test_published_single_read_value(self, capsys):
         code = main(

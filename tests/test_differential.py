@@ -1,9 +1,13 @@
 """Differential checks: each pair of independent routes to one answer must agree.
 
 Rows are (shape, market kind, seed) over every shape ``ProblemShape``
-admits with N*K <= 22.  Column implemented so far:
+admits with N*K <= 22.  Columns implemented so far:
     - ``solve_exact``'s closed-walk DP and tie walk against enumeration
       (``ground_state``): the same bits at the same energy, ``==``.
+    - the same DP against enumeration of all N^(K-1) closed walks, on
+      shapes with K >= 5 and up to 42 variables, past ``ground_state``'s
+      reach: the lowest bits among the walks within ``ENERGY_EPS`` of the
+      cheapest, at the same energy, ``==``.
 
 The DP's input, ``loop_tables``, is pinned on its own: a closed walk's
 energy read off the tables equals the QUBO's energy of the encoded walk.
@@ -15,6 +19,7 @@ blocking over starts.
 """
 
 import dataclasses
+import itertools
 import time
 import tracemalloc
 
@@ -87,6 +92,34 @@ def test_dp_matches_enumeration(monkeypatch, n, k, kind):
         best = solve_exact(q).samples[0]
         assert (best.bits, best.energy) == expected
         assert best.read_index == 1
+
+
+WALK_SHAPES = [(4, 5), (5, 5), (5, 6), (6, 6), (6, 7)]
+
+
+def walk_optimum(q, shape):
+    """The lowest bits among all closed walks within ``ENERGY_EPS`` of the
+    cheapest, and their energy: every walk encoded and priced at once."""
+    n, k = shape.n_currencies, shape.loop_length
+    walks = np.array(list(itertools.product(range(n), repeat=k - 1)))
+    walks = np.column_stack([walks, walks[:, 0]])
+    index = np.array([[var_index(c, p, shape) for p in range(1, k + 1)] for c in range(n)])
+    states = np.zeros((len(walks), shape.n_vars), dtype=np.int8)
+    states[np.arange(len(walks))[:, None], index[walks, np.arange(k)]] = 1
+    energies = q.energies(states)
+    tied = np.flatnonzero(energies <= energies.min() + ENERGY_EPS)
+    best = min(tied, key=lambda row: tuple(states[row].tolist()))
+    return tuple(states[best].tolist()), float(energies[best])
+
+
+@pytest.mark.parametrize("kind", MARKETS)
+@pytest.mark.parametrize("n, k", WALK_SHAPES, ids=[f"N{n}K{k}" for n, k in WALK_SHAPES])
+def test_dp_matches_walk_enumeration(n, k, kind):
+    for seed in SEEDS:
+        q, _, shape, _ = problem(kind, n, k, seed)
+        assert q.loop_shape == shape
+        best = solve_exact(q).samples[0]
+        assert (best.bits, best.energy) == walk_optimum(q, shape)
 
 
 TABLE_SHAPES = [(7, 2), (5, 3), (4, 4), (6, 5), (5, 6), (30, 8)]
