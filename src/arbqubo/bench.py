@@ -91,6 +91,12 @@ def lookup_solver(name: str) -> Callable[[QuboMatrix, SamplerParams], SampleSet]
     return SOLVER_REGISTRY[name]
 
 
+def check_batches(batches: int) -> None:
+    """Refuse a batch count below 1."""
+    if batches < 1:
+        raise ParamError(f"batches must be >= 1, got {batches}")
+
+
 def first_optimum_read(
     s: SampleSet, optimal_energy: float, tol: float = ENERGY_EPS
 ) -> int | None:
@@ -187,8 +193,7 @@ def run_batches(
     :data:`SOLVER_REGISTRY`; rows carry the sampler's own solver name.
     """
     solver_fn = lookup_solver(solver)
-    if batches < 1:
-        raise ParamError(f"batches must be >= 1, got {batches}")
+    check_batches(batches)
 
     if optimal_energy is None:
         optimal_energy = solve_exact(q).best().energy

@@ -21,6 +21,7 @@ from .bench import (
     BenchReport,
     QpuTimingModel,
     _format_number,
+    check_batches,
     emit_report,
     lookup_solver,
     qpu_access_time,
@@ -235,6 +236,7 @@ def cmd_bench(args) -> int:
     solvers = [token.strip() for token in args.solvers.split(",")]
     for solver in solvers:  # reject unknown names before the market is read
         lookup_solver(solver)
+    check_batches(args.batches)
     _, shape, w = _problem(args)
     q = build_qubo(w, shape, default_weights(w, shape))
 

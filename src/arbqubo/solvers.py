@@ -33,7 +33,7 @@ Both samplers vectorize across reads without changing what a read does.
 Tabu walks all reads in lock step, one row of an ``(reads, n)`` state
 array each, and updates a row's local fields in O(n) per flip; its tie
 rule keeps rounding noise from picking the move (:func:`_tabu_walks`).  SA
-updates each level of mutually uncoupled variables in one step of three
+updates each level of mutually uncoupled variables in one step of four
 calls (:func:`_level_runs`, :func:`_fold_set_bits`), and draws its
 thresholds a fixed-size tile of sweeps at a time.
 
@@ -46,8 +46,9 @@ on arrays of a few rows.  So each step writes into buffers and views
 built before the loop and passes them by position, calls ``np.dot``
 rather than ``np.matmul``, whose gufunc dispatch costs more on every
 call, takes with ``mode="clip"`` (the indices are valid, and the
-default mode buffers ``out``), broadcasts no operand it can avoid, and
-calls no function that wraps a ufunc or method in Python.
+default mode buffers ``out``), broadcasts no operand it can avoid,
+writes no ufunc output that needs a cast: a comparison lands in a bool
+buffer, and calls no function that wraps a ufunc or method in Python.
 """
 
 from __future__ import annotations
@@ -327,14 +328,15 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
     gathers its thresholds into one level-ordered buffer, where each set
     bit's threshold ``t`` becomes ``nextafter(-t, inf)``
     (:func:`_fold_set_bits`): a variable is updated once per sweep, so its
-    bit at the sweep's start is its bit at its step.  A step is then three
+    bit at the sweep's start is its bit at its step.  A step is then four
     calls on views and scratch built once per block, each given its output
     by position: the fields ``np.dot(couplings, states)``, plus
-    ``linear``, and the new bits ``field < threshold``.  That is the
-    Metropolis test ``x XOR ((1 - 2x) * field < t)``.  The tests check
-    the samples against a step that computes the fields with ``@``, also
-    at one-variable levels and one-read blocks, the shapes for which a
-    BLAS may pick a matrix-vector routine.
+    ``linear``, the new bits ``field < threshold`` as bools in ``flags``,
+    and ``x[...] = flags``, which copies them as exactly 1.0 and 0.0.
+    That is the Metropolis test ``x XOR ((1 - 2x) * field < t)``.  The
+    tests check the samples against a step that computes the fields with
+    ``@``, also at one-variable levels and one-read blocks, the shapes for
+    which a BLAS may pick a matrix-vector routine.
     """
     t0 = time.perf_counter()
     n = q.n_vars
@@ -356,14 +358,18 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
         sweep_thresholds = np.empty_like(states)
         state_bits, threshold_bits = states.view(np.int64), sweep_thresholds.view(np.int64)
         set_bit, sign_bit = np.empty_like(state_bits), np.empty_like(state_bits)
+        # The new bits as bools, laid out like ``states``: a comparison
+        # written straight into the float states would take numpy's
+        # slower output-cast path on every call.
+        bools = np.empty(states.shape, dtype=bool)
         # Per level, built once per block: its coupling rows and its linear
         # terms as a full (level, read) array, with variables in level
-        # order, views of its states and thresholds, and scratch for its
-        # fields.
+        # order, views of its states, thresholds and flags, and scratch for
+        # its fields.
         block_steps = [
             (
                 sym[np.ix_(order[a:b], order)], np.repeat(diag[order[a:b], None], block, axis=1),
-                states[a:b], sweep_thresholds[a:b], np.empty((b - a, block)),
+                states[a:b], sweep_thresholds[a:b], bools[a:b], np.empty((b - a, block)),
             )
             for a, b in runs
         ]
@@ -388,10 +394,11 @@ def sample_sa(q: QuboMatrix, p: SamplerParams) -> SampleSet:
             for sweep in range(len(tile_betas)):
                 thresholds[:, sweep].T.take(order, axis=0, out=sweep_thresholds)
                 _fold_set_bits(state_bits, threshold_bits, set_bit, sign_bit)
-                for couplings, linear, x, threshold, field in block_steps:
+                for couplings, linear, x, threshold, flags, field in block_steps:
                     dot(couplings, states, field)
                     add(field, linear, field)
-                    less(field, threshold, x)
+                    less(field, threshold, flags)
+                    x[...] = flags
         final = np.empty_like(starts)
         final[:, order] = states.T
         return final

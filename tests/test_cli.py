@@ -360,9 +360,10 @@ SEED_ERROR = "error: seed must be non-negative, got -1\n"
 
 
 class TestSamplerFlagsFirst:
-    """``solve`` and ``bench`` check ``--seed``, ``--reads``, ``--sweeps``
-    and ``--solvers`` for every solver before they read ``--rates``: exit 1
-    with the one parameter error line, nothing on stdout and no file."""
+    """``solve`` and ``bench`` check ``--seed``, ``--reads``, ``--sweeps``,
+    ``--solvers`` and ``--batches`` for every solver before they read
+    ``--rates``: exit 1 with the one parameter error line, nothing on
+    stdout and no file."""
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -388,8 +389,9 @@ class TestSamplerFlagsFirst:
             (["solve", "--solver", "tabu", "--seed", "-1"], SEED_ERROR),
             (["bench", "--seed", "-1"], SEED_ERROR),
             (["bench", "--solvers", "hillclimb"], "error: unknown solver 'hillclimb'; "),
+            (["bench", "--batches", "0"], "error: batches must be >= 1, got 0\n"),
         ],
-        ids=["solve-exact", "solve-tabu", "bench-seed", "bench-solvers"],
+        ids=["solve-exact", "solve-tabu", "bench-seed", "bench-solvers", "bench-batches"],
     )
     def test_checked_before_the_rates_are_read(self, tmp_path, capsys, argv, message):
         # The rates file does not exist: reading it first would exit 2.

@@ -957,6 +957,14 @@ class TestMatchesSevenCallStep:
         monkeypatch.setattr(solvers, "_SA_BLOCK_ELEMENTS", params.sweeps_per_read * q.n_vars)
         self.assert_same(q, params)
 
+    def test_wide_block(self):
+        # reads-20v's shape: one block of 500 reads drawn in 26-sweep
+        # tiles, so each level's step spans 500 columns.
+        params = SamplerParams(num_reads=500, seed=1, sweeps_per_read=250)
+        assert solvers._SA_BLOCK_ELEMENTS // (250 * 20) >= 500
+        assert solvers._SA_TILE_ELEMENTS // (20 * 500) == 26
+        self.assert_same(planted_qubo(), params)
+
     @staticmethod
     def assert_same(q, params):
         result, reference = sample_sa(q, params), seven_call_sa(q, params)
